@@ -19,7 +19,7 @@
 //     mutate plan state, so any number of threads may execute on one plan
 //     concurrently; outputs are bitwise reproducible for given inputs.
 //   * Structured plans own their representation.  COO-family plans
-//     ("coo", "cpu-coo", "reference") REFERENCE the source tensor --
+//     ("coo", "reference") REFERENCE the source tensor --
 //     their format IS the tensor -- so the tensor must outlive the
 //     plan.  ConcurrentPlanCache (DESIGN.md §5) closes that hazard
 //     structurally by pinning the tensor shared_ptr into every plan

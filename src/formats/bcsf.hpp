@@ -40,6 +40,15 @@ struct BcsfOptions {
   offset_t block_nnz_capacity = 512;
 };
 
+/// Both splits off: one block per slice holding whole fibers -- the
+/// plain GPU-CSF schedule that §IV starts from (Table II).
+inline BcsfOptions unsplit_bcsf_options() {
+  BcsfOptions opts;
+  opts.fiber_split = false;
+  opts.slice_split = false;
+  return opts;
+}
+
 class BcsfTensor {
  public:
   /// One GPU thread block's assignment: a contiguous run of fiber segments

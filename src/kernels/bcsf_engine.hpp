@@ -16,7 +16,6 @@ GpuMttkrpResult run_bcsf_engine(const BcsfTensor& bcsf,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device,
                                 const std::string& kernel_name,
-                                OutputCombine combine = OutputCombine::kPerFiber,
-                                SimMemo* memo = nullptr);
+                                OutputCombine combine = OutputCombine::kPerFiber);
 
 }  // namespace bcsf::detail

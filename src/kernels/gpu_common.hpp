@@ -30,12 +30,13 @@ namespace bcsf {
 /// scheduler all depend only on the index structure, the rank and the
 /// device -- never on factor or tensor VALUES.  So for a fixed plan,
 /// every execute at the same rank recomputes a bit-identical SimReport.
-/// A GPU plan owns one SimMemo and threads it into its kernel calls: the
-/// first execute per rank runs the costed pass (cache sim + scheduler)
-/// and stores the report; every repeat takes the numeric-only pass and
-/// reuses it.  This is what makes repeat executes on the serving path
-/// pay only for arithmetic -- the cost model is paid once per
-/// (plan, rank), not once per request (DESIGN.md §8).
+/// Each GPU plan (core/plans.cpp; F-COO excepted) owns one SimMemo: its
+/// first execute per rank runs the simulated kernel and stores the
+/// report, and every later execute runs the kernel's native walk
+/// (kernels/native_walk.cpp, bitwise-equal output) and returns the
+/// stored report.  The simulated kernels themselves know nothing of the
+/// memo; the cost model is paid once per (plan, rank), not once per
+/// request (DESIGN.md §8).
 ///
 /// Owners must keep the underlying structure fixed for the memo's
 /// lifetime (already the plan contract: plans are immutable snapshots of

@@ -1,11 +1,14 @@
 // Public MTTKRP API: every kernel in the paper, over every format.
 //
-// GPU kernels execute the real fp32 arithmetic while walking the exact
-// (block, warp, work item) decomposition that the simulator costs, so the
-// returned matrix comes from the same schedule the SimReport describes.
-// CPU kernels are real OpenMP code timed with wall clocks; the cross-
-// platform figures additionally use the analytic Broadwell model in
-// cpu_model.hpp (see DESIGN.md §1).
+// Simulated GPU kernels (*_gpu) are cost models: they walk the exact
+// (block, warp, work item) decomposition the simulator costs and return
+// its SimReport, computing the fp32 output along the way.  Each has a
+// native walk (*_walk) that runs the same traversal with the same
+// per-output-row float statement order but no cache model or scheduler,
+// so its output is bitwise-equal to the simulated kernel's; plans serve
+// repeat calls from the walk (DESIGN.md §1, §8).  CPU kernels are real
+// OpenMP code timed with wall clocks; the cross-platform figures
+// additionally use the analytic Broadwell model in cpu_model.hpp.
 //
 // Convention: `factors` holds one matrix per tensor mode (factors[m] has
 // dims[m] rows, all with equal rank).  Mode-n MTTKRP reads every factor
@@ -86,16 +89,17 @@ struct GpuMttkrpResult {
   SimReport report;
 };
 
-/// Per-plan cache of value-independent SimReports (kernels/gpu_common.hpp).
-/// Kernels taking a `SimMemo*` run the full cache/scheduler simulation
-/// only on the first call per rank; repeats replay the identical numeric
-/// schedule without the cost model and return the stored report.
-class SimMemo;
-
 /// Plain GPU-CSF (§IV's starting point, Table II): one thread block per
 /// slice, fibers round-robin across warps -- no splitting, the kernel
-/// whose imbalance motivates B-CSF.
+/// whose imbalance motivates B-CSF.  Builds the unsplit B-CSF schedule
+/// (unsplit_bcsf_options()) on every call.
 GpuMttkrpResult mttkrp_csf_gpu(const CsfTensor& csf,
+                               const std::vector<DenseMatrix>& factors,
+                               const DeviceModel& device);
+
+/// Same kernel on a prebuilt unsplit B-CSF (both splits off; throws
+/// otherwise), for callers that keep the schedule across calls.
+GpuMttkrpResult mttkrp_csf_gpu(const BcsfTensor& unsplit,
                                const std::vector<DenseMatrix>& factors,
                                const DeviceModel& device);
 
@@ -112,13 +116,10 @@ enum class OutputCombine { kPerFiber, kPerSliceShared };
 
 /// B-CSF kernel (§IV): one thread block per B-CSF block, fiber segments
 /// round-robin across warps, global atomics only for split slices.
-/// `memo`, when non-null, must be dedicated to this (bcsf, device,
-/// combine) triple; repeat calls per rank skip the simulation.
 GpuMttkrpResult mttkrp_bcsf_gpu(const BcsfTensor& bcsf,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device,
-                                OutputCombine combine = OutputCombine::kPerFiber,
-                                SimMemo* memo = nullptr);
+                                OutputCombine combine = OutputCombine::kPerFiber);
 
 /// CSL kernel (Alg. 4): one warp per compressed slice.
 GpuMttkrpResult mttkrp_csl_gpu(const CslTensor& csl,
@@ -126,12 +127,9 @@ GpuMttkrpResult mttkrp_csl_gpu(const CslTensor& csl,
                                const DeviceModel& device);
 
 /// ParTI-style COO kernel [18]: thread per nonzero, global atomics.
-/// `memo`, when non-null, must be dedicated to this (tensor, mode,
-/// device) triple; repeat calls per rank skip the simulation.
 GpuMttkrpResult mttkrp_coo_gpu(const SparseTensor& tensor, index_t mode,
                                const std::vector<DenseMatrix>& factors,
-                               const DeviceModel& device,
-                               SimMemo* memo = nullptr);
+                               const DeviceModel& device);
 
 /// F-COO kernel [17]: per-partition products + segmented scan.
 GpuMttkrpResult mttkrp_fcoo_gpu(const FcooTensor& fcoo,
@@ -145,10 +143,61 @@ GpuMttkrpResult mttkrp_hbcsf_gpu(const HbcsfTensor& hbcsf,
                                  const DeviceModel& device);
 
 // ---------------------------------------------------------------------------
+// Native walks of the simulated kernels' schedules (native_walk.cpp)
+// ---------------------------------------------------------------------------
+//
+// Each walk is bitwise-equal to its simulated twin at any thread count.
+// The structured walks run OpenMP-parallel over runs of work units cut
+// at slice boundaries (every output row is written by one thread, in the
+// twin's order); they stay serial on ThreadPool workers so the serving
+// pool is not oversubscribed.
+
+/// Twin of mttkrp_bcsf_gpu -- and, on an unsplit B-CSF, of
+/// mttkrp_csf_gpu.
+DenseMatrix mttkrp_bcsf_walk(const BcsfTensor& bcsf,
+                             const std::vector<DenseMatrix>& factors,
+                             OutputCombine combine = OutputCombine::kPerFiber);
+
+/// Twin of mttkrp_csl_gpu; `device` supplies the warp segment size.
+DenseMatrix mttkrp_csl_walk(const CslTensor& csl,
+                            const std::vector<DenseMatrix>& factors,
+                            const DeviceModel& device);
+
+/// Twin of mttkrp_hbcsf_gpu: the COO, CSL and B-CSF groups in turn.
+DenseMatrix mttkrp_hbcsf_walk(const HbcsfTensor& hbcsf,
+                              const std::vector<DenseMatrix>& factors,
+                              const DeviceModel& device);
+
+/// Twin of mttkrp_coo_gpu: one serial pass in nonzero order (output rows
+/// recur anywhere in COO order, so there is no row-disjoint cut).
+DenseMatrix mttkrp_coo_walk(const SparseTensor& tensor, index_t mode,
+                            const std::vector<DenseMatrix>& factors);
+
+// ---------------------------------------------------------------------------
 // CPU kernels (real OpenMP implementations)
 // ---------------------------------------------------------------------------
 
-/// Parallel COO MTTKRP (Algorithm 2) with per-thread output privatization.
+/// COO nonzeros grouped by mode-`mode` output row: a copy sorted by
+/// mode_order_for(mode) plus where each slice's run starts, so threads
+/// owning whole slices never collide.  The CPU-COO plan builds it once.
+struct CooSlices {
+  index_t mode = 0;
+  SparseTensor sorted;
+  offset_vec slice_start;  ///< one entry per slice, then nnz
+
+  /// Sorted coordinates plus the slice starts (§III accounting).
+  std::size_t index_storage_bytes() const {
+    return sorted.index_storage_bytes() + slice_start.size() * kIndexBytes;
+  }
+};
+
+CooSlices group_coo_slices(const SparseTensor& tensor, index_t mode);
+
+/// Parallel COO MTTKRP (Algorithm 2) over pre-grouped slices.
+DenseMatrix mttkrp_coo_cpu(const CooSlices& coo,
+                           const std::vector<DenseMatrix>& factors);
+
+/// Convenience: groups `tensor` (a sorted copy) and runs the above.
 DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor, index_t mode,
                            const std::vector<DenseMatrix>& factors);
 

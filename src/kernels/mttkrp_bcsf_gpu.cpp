@@ -21,77 +21,14 @@ namespace bcsf {
 
 namespace detail {
 
-namespace {
-
-// Numeric-only replay of the engine's schedule, used once a SimMemo holds
-// this (structure, rank) report: same traversal order, same float
-// statements, but no cache model, no per-warp cycle attribution, no
-// per-block work lists and no SM scheduler -- repeat executes pay only
-// for arithmetic.  MUST stay in numeric lock-step with the costed pass in
-// run_bcsf_engine below; the repeat-execute bitwise tests in
-// tests/mttkrp_equivalence_test.cpp pin the equivalence.
-DenseMatrix bcsf_numeric_pass(const BcsfTensor& bcsf,
-                              const std::vector<DenseMatrix>& factors,
-                              OutputCombine combine) {
-  const CsfTensor& csf = bcsf.csf();
-  const rank_t rank = factors.front().cols();
-  const ModeOrder& order = csf.mode_order();
-  const index_t fiber_level = csf.node_levels() - 1;
-  const index_t leaf_mode = order.back();
-
-  DenseMatrix out(csf.dims()[csf.root_mode()], rank);
-  std::vector<value_t> tmp(rank);
-  std::vector<value_t> block_acc(rank);
-  const DenseMatrix& leaf_factor = factors[leaf_mode];
-
-  for (const auto& block : bcsf.blocks()) {
-    const index_t out_row = csf.node_index(0, block.slice);
-    for (offset_t f = block.fiber_begin; f < block.fiber_end; ++f) {
-      std::fill(tmp.begin(), tmp.end(), 0.0F);
-      const offset_t z_end = csf.child_end(fiber_level, f);
-      for (offset_t z = csf.child_begin(fiber_level, f); z < z_end; ++z) {
-        const value_t v = csf.value(z);
-        const auto crow = leaf_factor.row(csf.leaf_index(z));
-        for (rank_t r = 0; r < rank; ++r) tmp[r] += v * crow[r];
-      }
-      for (index_t level = fiber_level; level >= 1; --level) {
-        const auto row = factors[order[level]].row(bcsf.fiber_coord(level, f));
-        for (rank_t r = 0; r < rank; ++r) tmp[r] *= row[r];
-      }
-      if (combine == OutputCombine::kPerSliceShared) {
-        if (f == block.fiber_begin) {
-          std::fill(block_acc.begin(), block_acc.end(), 0.0F);
-        }
-        for (rank_t r = 0; r < rank; ++r) block_acc[r] += tmp[r];
-      } else {
-        auto yrow = out.row(out_row);
-        for (rank_t r = 0; r < rank; ++r) yrow[r] += tmp[r];
-      }
-    }
-    if (combine == OutputCombine::kPerSliceShared) {
-      auto yrow = out.row(out_row);
-      for (rank_t r = 0; r < rank; ++r) yrow[r] += block_acc[r];
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 GpuMttkrpResult run_bcsf_engine(const BcsfTensor& bcsf,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device,
                                 const std::string& kernel_name,
-                                OutputCombine combine, SimMemo* memo) {
+                                OutputCombine combine) {
   const CsfTensor& csf = bcsf.csf();
   check_factors(csf.dims(), factors);
   const rank_t rank = factors.front().cols();
-  if (memo != nullptr) {
-    SimReport cached;
-    if (memo->find(rank, &cached)) {
-      return {bcsf_numeric_pass(bcsf, factors, combine), std::move(cached)};
-    }
-  }
   const index_t root = csf.root_mode();
   const ModeOrder& order = csf.mode_order();
   const index_t n_levels = csf.node_levels();
@@ -193,9 +130,7 @@ GpuMttkrpResult run_bcsf_engine(const BcsfTensor& bcsf,
   }
 
   launch.l2_hit_rate_pct = ctx.l2_hit_rate_pct();
-  GpuMttkrpResult result{std::move(out), simulate_launch(device, launch)};
-  if (memo != nullptr) memo->store(rank, result.report);
-  return result;
+  return {std::move(out), simulate_launch(device, launch)};
 }
 
 }  // namespace detail
@@ -203,9 +138,8 @@ GpuMttkrpResult run_bcsf_engine(const BcsfTensor& bcsf,
 GpuMttkrpResult mttkrp_bcsf_gpu(const BcsfTensor& bcsf,
                                 const std::vector<DenseMatrix>& factors,
                                 const DeviceModel& device,
-                                OutputCombine combine, SimMemo* memo) {
-  return detail::run_bcsf_engine(bcsf, factors, device, "bcsf-gpu", combine,
-                                 memo);
+                                OutputCombine combine) {
+  return detail::run_bcsf_engine(bcsf, factors, device, "bcsf-gpu", combine);
 }
 
 }  // namespace bcsf

@@ -16,47 +16,12 @@
 
 namespace bcsf {
 
-namespace {
-
-// Numeric-only replay used once a SimMemo holds this (tensor, mode, rank)
-// report: the COO schedule is a flat pass over nonzeros, so the replay is
-// the same per-nonzero float statements without the cache model, block
-// list or SM scheduler.  MUST stay in numeric lock-step with the costed
-// pass below (pinned by tests/mttkrp_equivalence_test.cpp).
-DenseMatrix coo_numeric_pass(const SparseTensor& tensor, index_t mode,
-                             const std::vector<DenseMatrix>& factors) {
-  const rank_t rank = factors.front().cols();
-  DenseMatrix out(tensor.dim(mode), rank);
-  std::vector<value_t> prod(rank);
-  const offset_t m = tensor.nnz();
-  for (offset_t z = 0; z < m; ++z) {
-    const value_t v = tensor.value(z);
-    for (rank_t r = 0; r < rank; ++r) prod[r] = v;
-    for (index_t f = 0; f < tensor.order(); ++f) {
-      if (f == mode) continue;
-      const auto row = factors[f].row(tensor.coord(f, z));
-      for (rank_t r = 0; r < rank; ++r) prod[r] *= row[r];
-    }
-    auto yrow = out.row(tensor.coord(mode, z));
-    for (rank_t r = 0; r < rank; ++r) yrow[r] += prod[r];
-  }
-  return out;
-}
-
-}  // namespace
-
 GpuMttkrpResult mttkrp_coo_gpu(const SparseTensor& tensor, index_t mode,
                                const std::vector<DenseMatrix>& factors,
-                               const DeviceModel& device, SimMemo* memo) {
+                               const DeviceModel& device) {
   check_factors(tensor.dims(), factors);
   BCSF_CHECK(mode < tensor.order(), "mttkrp_coo_gpu: bad mode");
   const rank_t rank = factors.front().cols();
-  if (memo != nullptr) {
-    SimReport cached;
-    if (memo->find(rank, &cached)) {
-      return {coo_numeric_pass(tensor, mode, factors), std::move(cached)};
-    }
-  }
 
   GpuKernelContext ctx(device);
   const std::vector<unsigned> regions =
@@ -109,9 +74,7 @@ GpuMttkrpResult mttkrp_coo_gpu(const SparseTensor& tensor, index_t mode,
   }
 
   launch.l2_hit_rate_pct = ctx.l2_hit_rate_pct();
-  GpuMttkrpResult result{std::move(out), simulate_launch(device, launch)};
-  if (memo != nullptr) memo->store(rank, result.report);
-  return result;
+  return {std::move(out), simulate_launch(device, launch)};
 }
 
 }  // namespace bcsf

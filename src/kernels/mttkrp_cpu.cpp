@@ -15,36 +15,38 @@
 
 namespace bcsf {
 
-DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor, index_t mode,
-                           const std::vector<DenseMatrix>& factors) {
-  check_factors(tensor.dims(), factors);
-  BCSF_CHECK(mode < tensor.order(), "mttkrp_coo_cpu: bad mode");
-  const rank_t rank = factors.front().cols();
-
-  // Group nonzeros by output row so threads never collide: sort a copy by
-  // the mode ordering, then hand contiguous slice runs to threads.
-  SparseTensor sorted = tensor;
-  const ModeOrder order = mode_order_for(mode, tensor.order());
-  sorted.sort(order);
-
-  const offset_t m = sorted.nnz();
-  std::vector<offset_t> slice_start;
+CooSlices group_coo_slices(const SparseTensor& tensor, index_t mode) {
+  BCSF_CHECK(mode < tensor.order(), "group_coo_slices: bad mode");
+  CooSlices out;
+  out.mode = mode;
+  out.sorted = tensor;
+  out.sorted.sort(mode_order_for(mode, tensor.order()));
+  const offset_t m = out.sorted.nnz();
   for (offset_t z = 0; z < m; ++z) {
-    if (z == 0 || sorted.coord(mode, z) != sorted.coord(mode, z - 1)) {
-      slice_start.push_back(z);
+    if (z == 0 || out.sorted.coord(mode, z) != out.sorted.coord(mode, z - 1)) {
+      out.slice_start.push_back(z);
     }
   }
-  slice_start.push_back(m);
-  const std::int64_t n_slices =
-      static_cast<std::int64_t>(slice_start.size()) - 1;
+  out.slice_start.push_back(m);
+  return out;
+}
 
-  DenseMatrix out(tensor.dim(mode), rank);
+DenseMatrix mttkrp_coo_cpu(const CooSlices& coo,
+                           const std::vector<DenseMatrix>& factors) {
+  const SparseTensor& sorted = coo.sorted;
+  const index_t mode = coo.mode;
+  check_factors(sorted.dims(), factors);
+  const rank_t rank = factors.front().cols();
+  const std::int64_t n_slices =
+      static_cast<std::int64_t>(coo.slice_start.size()) - 1;
+
+  DenseMatrix out(sorted.dim(mode), rank);
 #pragma omp parallel
   {
     std::vector<value_t> prod(rank);
 #pragma omp for schedule(static)
     for (std::int64_t s = 0; s < n_slices; ++s) {
-      for (offset_t z = slice_start[s]; z < slice_start[s + 1]; ++z) {
+      for (offset_t z = coo.slice_start[s]; z < coo.slice_start[s + 1]; ++z) {
         const value_t v = sorted.value(z);
         for (rank_t r = 0; r < rank; ++r) prod[r] = v;
         for (index_t f = 0; f < sorted.order(); ++f) {
@@ -58,6 +60,12 @@ DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor, index_t mode,
     }
   }
   return out;
+}
+
+DenseMatrix mttkrp_coo_cpu(const SparseTensor& tensor, index_t mode,
+                           const std::vector<DenseMatrix>& factors) {
+  check_factors(tensor.dims(), factors);
+  return mttkrp_coo_cpu(group_coo_slices(tensor, mode), factors);
 }
 
 DenseMatrix mttkrp_csf_cpu(const CsfTensor& csf,

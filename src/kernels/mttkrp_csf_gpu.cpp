@@ -5,16 +5,23 @@
 // imbalance signatures (nell2 and darpa in particular).
 #include "kernels/bcsf_engine.hpp"
 #include "kernels/mttkrp.hpp"
+#include "util/error.hpp"
 
 namespace bcsf {
 
 GpuMttkrpResult mttkrp_csf_gpu(const CsfTensor& csf,
                                const std::vector<DenseMatrix>& factors,
                                const DeviceModel& device) {
-  BcsfOptions opts;
-  opts.fiber_split = false;
-  opts.slice_split = false;
-  const BcsfTensor unsplit = build_bcsf_from_csf(csf, opts);
+  return mttkrp_csf_gpu(build_bcsf_from_csf(csf, unsplit_bcsf_options()),
+                        factors, device);
+}
+
+GpuMttkrpResult mttkrp_csf_gpu(const BcsfTensor& unsplit,
+                               const std::vector<DenseMatrix>& factors,
+                               const DeviceModel& device) {
+  BCSF_CHECK(!unsplit.options().fiber_split && !unsplit.options().slice_split,
+             "mttkrp_csf_gpu: expected an unsplit B-CSF "
+             "(unsplit_bcsf_options())");
   return detail::run_bcsf_engine(unsplit, factors, device, "csf-gpu");
 }
 

@@ -43,32 +43,19 @@ DenseMatrix ttv_reference(const SparseTensor& tensor, index_t mode,
   return out;
 }
 
-DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, index_t mode,
+DenseMatrix ttv_coo_cpu(const CooSlices& coo,
                         const std::vector<DenseMatrix>& vectors) {
-  check_vectors(tensor.dims(), vectors);
-  BCSF_CHECK(mode < tensor.order(), "ttv_coo_cpu: bad mode");
-
-  // Same no-collision strategy as mttkrp_coo_cpu: group nonzeros by
-  // output row, hand contiguous runs to threads.
-  SparseTensor sorted = tensor;
-  sorted.sort(mode_order_for(mode, tensor.order()));
-
-  const offset_t n = sorted.nnz();
-  std::vector<offset_t> slice_start;
-  for (offset_t z = 0; z < n; ++z) {
-    if (z == 0 || sorted.coord(mode, z) != sorted.coord(mode, z - 1)) {
-      slice_start.push_back(z);
-    }
-  }
-  slice_start.push_back(n);
+  const SparseTensor& sorted = coo.sorted;
+  const index_t mode = coo.mode;
+  check_vectors(sorted.dims(), vectors);
   const std::int64_t n_slices =
-      static_cast<std::int64_t>(slice_start.size()) - 1;
+      static_cast<std::int64_t>(coo.slice_start.size()) - 1;
 
-  DenseMatrix out(tensor.dim(mode), 1);
+  DenseMatrix out(sorted.dim(mode), 1);
 #pragma omp parallel for schedule(static)
   for (std::int64_t s = 0; s < n_slices; ++s) {
     value_t sum = 0.0F;
-    for (offset_t z = slice_start[s]; z < slice_start[s + 1]; ++z) {
+    for (offset_t z = coo.slice_start[s]; z < coo.slice_start[s + 1]; ++z) {
       value_t prod = sorted.value(z);
       for (index_t m = 0; m < sorted.order(); ++m) {
         if (m == mode) continue;
@@ -76,7 +63,7 @@ DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, index_t mode,
       }
       sum += prod;
     }
-    out(sorted.coord(mode, slice_start[s]), 0) += sum;
+    out(sorted.coord(mode, coo.slice_start[s]), 0) += sum;
   }
   return out;
 }

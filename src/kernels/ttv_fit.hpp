@@ -30,6 +30,8 @@
 
 namespace bcsf {
 
+struct CooSlices;  // kernels/mttkrp.hpp
+
 /// Validates one dims[m] x 1 vector per mode; throws bcsf::Error.
 void check_vectors(const std::vector<index_t>& dims,
                    const std::vector<DenseMatrix>& vectors);
@@ -39,9 +41,10 @@ void check_vectors(const std::vector<index_t>& dims,
 DenseMatrix ttv_reference(const SparseTensor& tensor, index_t mode,
                           const std::vector<DenseMatrix>& vectors);
 
-/// OpenMP COO multi-TTV: slice-grouped like mttkrp_coo_cpu, but with the
-/// rank loop collapsed away -- one multiply-accumulate per nonzero.
-DenseMatrix ttv_coo_cpu(const SparseTensor& tensor, index_t mode,
+/// OpenMP COO multi-TTV over pre-grouped slices (kernels/mttkrp.hpp
+/// CooSlices), like mttkrp_coo_cpu but with the rank loop collapsed away
+/// -- one multiply-accumulate per nonzero.
+DenseMatrix ttv_coo_cpu(const CooSlices& coo,
                         const std::vector<DenseMatrix>& vectors);
 
 /// Adds the multi-TTV contribution of frozen COO delta chunks into

@@ -169,7 +169,7 @@ std::size_t ConcurrentPlanCache::size() const {
 }
 
 bool ConcurrentPlanCache::coo_family(const std::string& format) {
-  return format == "coo" || format == "cpu-coo" || format == "reference";
+  return format == "coo" || format == "reference";
 }
 
 double ConcurrentPlanCache::decayed(double heat, std::uint64_t last,

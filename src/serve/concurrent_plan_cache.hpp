@@ -145,9 +145,10 @@ class ConcurrentPlanCache {
   bool evict(const std::string& format, index_t mode,
              OpKind op = OpKind::kMttkrp);
 
-  /// True for the zero-preprocessing COO family ("coo", "cpu-coo",
-  /// "reference") -- the formats the serving layer treats as the free
-  /// fallback tier (shared with TensorOpService's upgrade policy).
+  /// True for the zero-preprocessing COO family ("coo", "reference") --
+  /// the formats the serving layer treats as the free fallback tier
+  /// (shared with TensorOpService's upgrade policy).  "cpu-coo" is not
+  /// one: it owns a slice-grouped copy built once per plan.
   static bool coo_family(const std::string& format);
 
  private:

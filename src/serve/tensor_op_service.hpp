@@ -97,7 +97,7 @@ struct ServeOptions {
   /// and compactions share it.
   unsigned workers = 4;
   /// Zero-preprocessing format answering from the first request.  Must be
-  /// build-free (COO family: "coo", "cpu-coo", "reference").
+  /// build-free (COO family: "coo", "reference").
   std::string initial_format = "coo";
   /// Structured target for the background upgrade.  "auto" asks the §V
   /// slice-binning policy per (shard, mode) (the Fig-10 expected-calls

@@ -136,6 +136,8 @@ int ThreadPool::current_worker() const {
   return tl_pool == this ? tl_worker : -1;
 }
 
+bool ThreadPool::on_worker_thread() { return tl_pool != nullptr; }
+
 bool ThreadPool::runnable(std::size_t index) const {
   if (!local_[index].empty() || !global_.empty()) return true;
   for (std::size_t j = 0; j < local_.size(); ++j) {

@@ -96,6 +96,10 @@ class ThreadPool {
   /// caller is not one of them.  Lets tests pin down where an
   /// affinity-hinted task actually ran.
   int current_worker() const;
+  /// True when the calling thread is a worker of ANY ThreadPool.  Code
+  /// with its own intra-call parallelism (the native kernel walks) stays
+  /// serial there, so a busy pool is not oversubscribed.
+  static bool on_worker_thread();
 
  private:
   void worker_loop(std::size_t index);

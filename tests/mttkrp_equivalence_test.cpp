@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "bcsf/bcsf.hpp"
-#include "kernels/gpu_common.hpp"
+#include "serve_test_util.hpp"
 
 namespace bcsf {
 namespace {
@@ -210,14 +210,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RegistryEquivalence, ::testing::Range(0, 5),
                            return scenarios()[info.param].name;
                          });
 
-// The simulated cost model is value-independent, so the serving-path GPU
-// kernels memoize it per rank (SimMemo, kernels/gpu_common.hpp): the
-// first call runs the cache/scheduler simulation, repeats replay the
-// identical numeric schedule and reuse the stored report.  These tests
-// pin both halves of that contract at the kernel level, where the memo is
-// threaded explicitly: bitwise-equal outputs AND bit-identical reports,
-// across ranks sharing one memo (the serving mix interleaves rank-R
-// MTTKRP/FIT with rank-1 TTV on the same plan) and both combine modes.
+// The simulated cost model is value-independent, so every GPU plan but
+// F-COO memoizes it per rank (SimMemo, kernels/gpu_common.hpp): the first
+// call at a rank runs the simulated kernel, later calls run the kernel's
+// native walk and reuse the stored report.  These tests pin both halves
+// of that contract at the plan level against a direct simulated-kernel
+// call: bitwise-equal outputs AND bit-identical reports, across ranks
+// sharing one plan (the serving mix interleaves rank-R MTTKRP/FIT with
+// rank-1 TTV on the same plan).  tests/native_walk_test.cpp covers the
+// remaining formats and both B-CSF combine modes.
 void expect_same_report(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.kernel, b.kernel);
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
@@ -232,25 +233,24 @@ void expect_same_report(const SimReport& a, const SimReport& b) {
 TEST(SimMemoEquivalence, BcsfRepeatCallsAreBitwiseWithCachedReports) {
   const Scenario scenario = scenarios()[1];  // heavy_slices3d: split blocks
   const SparseTensor x = generate_power_law(scenario.config);
-  const DeviceModel device = DeviceModel::tiny(4, 16);
-  for (OutputCombine combine :
-       {OutputCombine::kPerFiber, OutputCombine::kPerSliceShared}) {
-    const BcsfTensor bcsf = build_bcsf(x, 1, BcsfOptions{});
-    SimMemo memo;
+  PlanOptions opts;
+  opts.device = DeviceModel::tiny(4, 16);
+  for (index_t mode = 0; mode < x.order(); ++mode) {
+    const BcsfTensor bcsf = build_bcsf(x, mode, opts.bcsf);
+    const PlanPtr plan =
+        FormatRegistry::instance().create("bcsf", x, mode, opts);
     for (rank_t rank : {rank_t{8}, rank_t{1}, rank_t{8}}) {
-      SCOPED_TRACE("combine " + std::to_string(static_cast<int>(combine)) +
-                   " rank " + std::to_string(rank));
+      SCOPED_TRACE("mode " + std::to_string(mode) + " rank " +
+                   std::to_string(rank));
       const auto factors = make_random_factors(x.dims(), rank, 77);
       const GpuMttkrpResult costed =
-          mttkrp_bcsf_gpu(bcsf, factors, device, combine, nullptr);
-      const GpuMttkrpResult first =
-          mttkrp_bcsf_gpu(bcsf, factors, device, combine, &memo);
-      const GpuMttkrpResult repeat =
-          mttkrp_bcsf_gpu(bcsf, factors, device, combine, &memo);
-      // The numeric replay must match the costed pass bitwise, and the
-      // cached report must be indistinguishable from a fresh simulation.
-      EXPECT_DOUBLE_EQ(costed.output.max_abs_diff(first.output), 0.0);
-      EXPECT_DOUBLE_EQ(costed.output.max_abs_diff(repeat.output), 0.0);
+          mttkrp_bcsf_gpu(bcsf, factors, opts.device);
+      const PlanRunResult first = plan->run(factors);
+      const PlanRunResult repeat = plan->run(factors);
+      // The walk must match the costed pass bitwise, and the cached
+      // report must be indistinguishable from a fresh simulation.
+      EXPECT_TRUE(serve_test::bitwise_equal(costed.output, first.output));
+      EXPECT_TRUE(serve_test::bitwise_equal(costed.output, repeat.output));
       expect_same_report(costed.report, first.report);
       expect_same_report(costed.report, repeat.report);
       EXPECT_GT(repeat.report.seconds, 0.0);
@@ -262,21 +262,21 @@ TEST(SimMemoEquivalence, BcsfRepeatCallsAreBitwiseWithCachedReports) {
 TEST(SimMemoEquivalence, CooRepeatCallsAreBitwiseWithCachedReports) {
   const Scenario scenario = scenarios()[0];
   const SparseTensor x = generate_power_law(scenario.config);
-  const DeviceModel device = DeviceModel::tiny(4, 16);
+  PlanOptions opts;
+  opts.device = DeviceModel::tiny(4, 16);
   for (index_t mode = 0; mode < x.order(); ++mode) {
-    SimMemo memo;
+    const PlanPtr plan =
+        FormatRegistry::instance().create("coo", x, mode, opts);
     for (rank_t rank : {rank_t{8}, rank_t{1}}) {
       SCOPED_TRACE("mode " + std::to_string(mode) + " rank " +
                    std::to_string(rank));
       const auto factors = make_random_factors(x.dims(), rank, 78);
       const GpuMttkrpResult costed =
-          mttkrp_coo_gpu(x, mode, factors, device, nullptr);
-      const GpuMttkrpResult first =
-          mttkrp_coo_gpu(x, mode, factors, device, &memo);
-      const GpuMttkrpResult repeat =
-          mttkrp_coo_gpu(x, mode, factors, device, &memo);
-      EXPECT_DOUBLE_EQ(costed.output.max_abs_diff(first.output), 0.0);
-      EXPECT_DOUBLE_EQ(costed.output.max_abs_diff(repeat.output), 0.0);
+          mttkrp_coo_gpu(x, mode, factors, opts.device);
+      const PlanRunResult first = plan->run(factors);
+      const PlanRunResult repeat = plan->run(factors);
+      EXPECT_TRUE(serve_test::bitwise_equal(costed.output, first.output));
+      EXPECT_TRUE(serve_test::bitwise_equal(costed.output, repeat.output));
       expect_same_report(costed.report, first.report);
       expect_same_report(costed.report, repeat.report);
       EXPECT_GT(repeat.report.atomic_ops, 0u);

@@ -218,6 +218,14 @@ TEST(ThreadPool, BusyHintedWorkerExposesTasksToStealing) {
   EXPECT_GE(pool.steal_count(), static_cast<std::uint64_t>(kTasks));
 }
 
+TEST(ThreadPool, OnWorkerThreadIsTrueOnlyInsideTasks) {
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  ThreadPool pool(2);
+  EXPECT_TRUE(pool.async([] { return ThreadPool::on_worker_thread(); }).get());
+  // Still false on the submitting thread once the pool exists.
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+}
+
 TEST(ThreadPool, QueueDepthTracksPendingTasks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.queue_depth(), 0u);
