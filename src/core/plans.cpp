@@ -57,10 +57,20 @@ class GpuPlanBase : public TensorOpPlan {
   bool is_gpu() const override { return true; }
 
  protected:
-  /// Pays the cost model once per rank: the first call at a rank runs
-  /// `simulate` (the costed kernel) and stores its report; every later
-  /// call runs `walk` (the kernel's bitwise-equal native walk) and
-  /// returns the stored report (SimMemo, kernels/gpu_common.hpp).
+  DeviceModel device_;
+};
+
+/// GPU plans whose kernel has a native walk twin.  The cost model is
+/// paid once per rank: the first call at a rank runs `simulate` (the
+/// costed kernel) and stores its report; every later call runs `walk`
+/// (the kernel's bitwise-equal native walk) and returns the stored
+/// report (SimMemo, kernels/gpu_common.hpp).
+template <typename Derived>
+class MemoizedGpuPlan : public GpuPlanBase<Derived> {
+ public:
+  using GpuPlanBase<Derived>::GpuPlanBase;
+
+ protected:
   template <typename Simulate, typename Walk>
   PlanRunResult memoized(const std::vector<DenseMatrix>& factors,
                          Simulate simulate, Walk walk) const {
@@ -73,8 +83,6 @@ class GpuPlanBase : public TensorOpPlan {
     return {std::move(r.output), std::move(r.report)};
   }
 
-  DeviceModel device_;
-
  private:
   // The plan's structure is immutable, so its reports are too.
   mutable SimMemo memo_;
@@ -84,11 +92,13 @@ class GpuPlanBase : public TensorOpPlan {
 // Simulated GPU plans
 // ---------------------------------------------------------------------------
 
-class GpuCsfPlan final : public GpuPlanBase<GpuCsfPlan> {
+class GpuCsfPlan final : public MemoizedGpuPlan<GpuCsfPlan> {
  public:
   GpuCsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
-      : GpuPlanBase("gpu-csf", "GPU-CSF", mode, o.device),
+      : MemoizedGpuPlan("gpu-csf", "GPU-CSF", mode, o.device),
         unsplit_(build_bcsf(t, mode, unsplit_bcsf_options())) {}
+  // The CSF index only, as for bcsf: the block list and fiber
+  // coordinates are schedule, not index (DESIGN.md §2).
   std::size_t storage_bytes() const override {
     return unsplit_.index_storage_bytes();
   }
@@ -102,10 +112,10 @@ class GpuCsfPlan final : public GpuPlanBase<GpuCsfPlan> {
   BcsfTensor unsplit_;  // plain CSF's schedule: one block per slice
 };
 
-class BcsfPlan final : public GpuPlanBase<BcsfPlan> {
+class BcsfPlan final : public MemoizedGpuPlan<BcsfPlan> {
  public:
   BcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
-      : GpuPlanBase("bcsf", "B-CSF", mode, o.device),
+      : MemoizedGpuPlan("bcsf", "B-CSF", mode, o.device),
         bcsf_(build_bcsf(t, mode, o.bcsf)) {}
   std::size_t storage_bytes() const override {
     return bcsf_.index_storage_bytes();
@@ -120,10 +130,11 @@ class BcsfPlan final : public GpuPlanBase<BcsfPlan> {
   BcsfTensor bcsf_;
 };
 
-class CslPlan final : public GpuPlanBase<CslPlan> {
+class CslPlan final : public MemoizedGpuPlan<CslPlan> {
  public:
   CslPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
-      : GpuPlanBase("csl", "CSL", mode, o.device), csl_(build_csl(t, mode)) {}
+      : MemoizedGpuPlan("csl", "CSL", mode, o.device),
+        csl_(build_csl(t, mode)) {}
   std::size_t storage_bytes() const override {
     return csl_.index_storage_bytes();
   }
@@ -137,10 +148,10 @@ class CslPlan final : public GpuPlanBase<CslPlan> {
   CslTensor csl_;
 };
 
-class HbcsfPlan final : public GpuPlanBase<HbcsfPlan> {
+class HbcsfPlan final : public MemoizedGpuPlan<HbcsfPlan> {
  public:
   HbcsfPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
-      : GpuPlanBase("hbcsf", "HB-CSF", mode, o.device),
+      : MemoizedGpuPlan("hbcsf", "HB-CSF", mode, o.device),
         hb_(build_hbcsf(t, mode, o.bcsf)) {}
   std::size_t storage_bytes() const override {
     return hb_.index_storage_bytes();
@@ -169,10 +180,10 @@ class HbcsfPlan final : public GpuPlanBase<HbcsfPlan> {
 // duplicated.  The registry contract makes the caller keep the tensor
 // alive -- and, for the memoized report, unchanged -- for the plan's
 // lifetime (serving snapshots are versioned, never edited in place).
-class GpuCooPlan final : public GpuPlanBase<GpuCooPlan> {
+class GpuCooPlan final : public MemoizedGpuPlan<GpuCooPlan> {
  public:
   GpuCooPlan(const SparseTensor& t, index_t mode, const PlanOptions& o)
-      : GpuPlanBase("coo", "ParTI-COO", mode, o.device), tensor_(&t) {}
+      : MemoizedGpuPlan("coo", "ParTI-COO", mode, o.device), tensor_(&t) {}
   std::size_t storage_bytes() const override {
     return tensor_->index_storage_bytes();
   }

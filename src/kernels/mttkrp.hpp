@@ -152,11 +152,10 @@ GpuMttkrpResult mttkrp_hbcsf_gpu(const HbcsfTensor& hbcsf,
 // twin's order); they stay serial on ThreadPool workers so the serving
 // pool is not oversubscribed.
 
-/// Twin of mttkrp_bcsf_gpu -- and, on an unsplit B-CSF, of
-/// mttkrp_csf_gpu.
+/// Twin of mttkrp_bcsf_gpu with the default OutputCombine::kPerFiber --
+/// and, on an unsplit B-CSF, of mttkrp_csf_gpu.
 DenseMatrix mttkrp_bcsf_walk(const BcsfTensor& bcsf,
-                             const std::vector<DenseMatrix>& factors,
-                             OutputCombine combine = OutputCombine::kPerFiber);
+                             const std::vector<DenseMatrix>& factors);
 
 /// Twin of mttkrp_csl_gpu; `device` supplies the warp segment size.
 DenseMatrix mttkrp_csl_walk(const CslTensor& csl,

@@ -39,7 +39,7 @@ constexpr offset_t kChunksPerThread = 8;
 struct Scratch {
   explicit Scratch(rank_t rank) : tmp(rank), acc(rank) {}
   std::vector<value_t> tmp;  ///< fiber partial / nonzero product
-  std::vector<value_t> acc;  ///< block- or segment-level accumulator
+  std::vector<value_t> acc;  ///< CSL warp-segment accumulator
 };
 
 /// Threads for one walk: 1 on a ThreadPool worker (the pool already
@@ -96,16 +96,16 @@ void walk_schedule(const Schedule& schedule, rank_t rank, DenseMatrix& out) {
 }
 
 /// B-CSF (and unsplit GPU-CSF): one unit per block, as run_bcsf_engine
-/// launches them.  A slc-split slice spans consecutive blocks.
+/// launches them.  A slc-split slice spans consecutive blocks.  Each
+/// fiber's scaled partial goes straight into the output row
+/// (OutputCombine::kPerFiber, the combine every plan uses).
 class BcsfSchedule {
  public:
-  BcsfSchedule(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors,
-               OutputCombine combine)
+  BcsfSchedule(const BcsfTensor& bcsf, const std::vector<DenseMatrix>& factors)
       : bcsf_(bcsf),
         csf_(bcsf.csf()),
         blocks_(bcsf.blocks()),
         factors_(factors),
-        combine_(combine),
         fiber_level_(csf_.node_levels() - 1) {}
 
   offset_t units() const { return blocks_.size(); }
@@ -121,8 +121,6 @@ class BcsfSchedule {
     const DenseMatrix& leaf_factor = factors_[order.back()];
     const rank_t rank = out.cols();
     auto yrow = out.row(csf_.node_index(0, block.slice));
-    const bool shared = combine_ == OutputCombine::kPerSliceShared;
-    if (shared) std::fill(s.acc.begin(), s.acc.end(), 0.0F);
     for (offset_t f = block.fiber_begin; f < block.fiber_end; ++f) {
       std::fill(s.tmp.begin(), s.tmp.end(), 0.0F);
       const offset_t z_end = csf_.child_end(fiber_level_, f);
@@ -136,14 +134,7 @@ class BcsfSchedule {
             factors_[order[level]].row(bcsf_.fiber_coord(level, f));
         for (rank_t r = 0; r < rank; ++r) s.tmp[r] *= row[r];
       }
-      if (shared) {
-        for (rank_t r = 0; r < rank; ++r) s.acc[r] += s.tmp[r];
-      } else {
-        for (rank_t r = 0; r < rank; ++r) yrow[r] += s.tmp[r];
-      }
-    }
-    if (shared) {
-      for (rank_t r = 0; r < rank; ++r) yrow[r] += s.acc[r];
+      for (rank_t r = 0; r < rank; ++r) yrow[r] += s.tmp[r];
     }
   }
 
@@ -152,7 +143,6 @@ class BcsfSchedule {
   const CsfTensor& csf_;
   const std::vector<BcsfTensor::Block>& blocks_;
   const std::vector<DenseMatrix>& factors_;
-  OutputCombine combine_;
   index_t fiber_level_;
 };
 
@@ -236,13 +226,12 @@ class SingletonSchedule {
 }  // namespace
 
 DenseMatrix mttkrp_bcsf_walk(const BcsfTensor& bcsf,
-                             const std::vector<DenseMatrix>& factors,
-                             OutputCombine combine) {
+                             const std::vector<DenseMatrix>& factors) {
   const CsfTensor& csf = bcsf.csf();
   check_factors(csf.dims(), factors);
   const rank_t rank = factors.front().cols();
   DenseMatrix out(csf.dims()[csf.root_mode()], rank);
-  walk_schedule(BcsfSchedule(bcsf, factors, combine), rank, out);
+  walk_schedule(BcsfSchedule(bcsf, factors), rank, out);
   return out;
 }
 
@@ -267,8 +256,7 @@ DenseMatrix mttkrp_hbcsf_walk(const HbcsfTensor& hbcsf,
   DenseMatrix out(hbcsf.dims()[hbcsf.root_mode()], rank);
   walk_schedule(SingletonSchedule(hbcsf, factors), rank, out);
   walk_schedule(CslSchedule(hbcsf.csl(), factors, device), rank, out);
-  walk_schedule(BcsfSchedule(hbcsf.bcsf(), factors, OutputCombine::kPerFiber),
-                rank, out);
+  walk_schedule(BcsfSchedule(hbcsf.bcsf(), factors), rank, out);
   return out;
 }
 

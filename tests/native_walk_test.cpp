@@ -194,24 +194,6 @@ TEST(NativeWalk, MixedTensorsPopulateEveryHbcsfGroup) {
   }
 }
 
-// Plans only use the per-fiber combine; the ablation bench also runs the
-// per-slice-shared one, so its walk must match the kernel too.
-TEST(NativeWalk, BcsfWalkMatchesKernelInBothCombineModes) {
-  const SparseTensor x =
-      generate_power_law(power_law({300, 200, 400}, 15000, 21));
-  const DeviceModel device = test_device();
-  for (OutputCombine combine :
-       {OutputCombine::kPerFiber, OutputCombine::kPerSliceShared}) {
-    for (index_t mode = 0; mode < x.order(); ++mode) {
-      const BcsfTensor bcsf = build_bcsf(x, mode);
-      const auto factors = make_random_factors(x.dims(), 16, 22, -1.0F, 1.0F);
-      EXPECT_TRUE(
-          bitwise_equal(mttkrp_bcsf_gpu(bcsf, factors, device, combine).output,
-                        mttkrp_bcsf_walk(bcsf, factors, combine)));
-    }
-  }
-}
-
 // The walk is serial on ThreadPool workers and parallel elsewhere; both
 // must give the same bits (the serving path runs on workers, CPD-ALS on
 // the caller's thread).
