@@ -1,5 +1,5 @@
 // Planning-latency comparison (DESIGN.md §12): the exact §V policy
-// rescans the tensor -- sort + slice/fiber walk, O(nnz log nnz) -- every
+// rescans the tensor -- radix sort + slice/fiber walk, O(nnz) -- every
 // time a format decision is made, while the sketch-backed overload reads
 // O(S) streaming-sketch state.  This bench sweeps tensor sizes and times
 // both paths on identical inputs, so the headline claims are measurable

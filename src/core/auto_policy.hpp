@@ -8,8 +8,9 @@
 //     pure format; a mixed population picks HB-CSF, whose whole point is
 //     routing each population to its own representation.
 //  2. Fig-10 break-even.  Structured formats pay a build (sort-dominated,
-//     ~nnz log nnz) that COO does not; it amortizes only if the caller
-//     will run enough MTTKRPs:  build <= n * (t_coo - t_structured).
+//     priced at ~nnz log nnz, DESIGN.md §3) that COO does not; it
+//     amortizes only if the caller will run enough MTTKRPs:
+//     build <= n * (t_coo - t_structured).
 //     The per-call gain scales with how much atomic traffic structure
 //     removes and collapses on tensors too small to occupy the device,
 //     so tiny tensors fall back to COO no matter their shape.

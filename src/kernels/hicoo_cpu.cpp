@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kernels/mttkrp.hpp"
+#include "kernels/omp_threads.hpp"
 #include "util/error.hpp"
 
 namespace bcsf {
@@ -37,7 +38,7 @@ DenseMatrix mttkrp_hicoo_cpu(const HicooTensor& hicoo, index_t mode,
   const std::int64_t n_groups =
       static_cast<std::int64_t>(group_start.size()) - 1;
 
-#pragma omp parallel
+#pragma omp parallel num_threads(kernel_threads())
   {
     std::vector<value_t> prod(rank);
 #pragma omp for schedule(dynamic, 4)

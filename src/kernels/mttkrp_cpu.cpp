@@ -6,11 +6,8 @@
 #include <numeric>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "kernels/mttkrp.hpp"
+#include "kernels/omp_threads.hpp"
 #include "util/error.hpp"
 
 namespace bcsf {
@@ -41,7 +38,7 @@ DenseMatrix mttkrp_coo_cpu(const CooSlices& coo,
       static_cast<std::int64_t>(coo.slice_start.size()) - 1;
 
   DenseMatrix out(sorted.dim(mode), rank);
-#pragma omp parallel
+#pragma omp parallel num_threads(kernel_threads())
   {
     std::vector<value_t> prod(rank);
 #pragma omp for schedule(static)
@@ -80,7 +77,7 @@ DenseMatrix mttkrp_csf_cpu(const CsfTensor& csf,
   DenseMatrix out(csf.dims()[csf.root_mode()], rank);
   const std::int64_t n_slices = static_cast<std::int64_t>(csf.num_slices());
 
-#pragma omp parallel
+#pragma omp parallel num_threads(kernel_threads())
   {
     // One accumulation buffer per tree level ("only R words of
     // intermediate storage" per level, §VII).
@@ -164,7 +161,7 @@ DenseMatrix mttkrp_csl_cpu(const CslTensor& csl,
   DenseMatrix out(csl.dims()[csl.root_mode()], rank);
   const std::int64_t n_slices = static_cast<std::int64_t>(csl.num_slices());
 
-#pragma omp parallel
+#pragma omp parallel num_threads(kernel_threads())
   {
     std::vector<value_t> prod(rank);
 #pragma omp for schedule(static)

@@ -19,11 +19,8 @@
 #include <cstdint>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "kernels/mttkrp.hpp"
+#include "kernels/omp_threads.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -43,15 +40,10 @@ struct Scratch {
 };
 
 /// Threads for one walk: 1 on a ThreadPool worker (the pool already
-/// supplies the parallelism), without OpenMP, and under ThreadSanitizer:
-/// libgomp is not instrumented, so TSan cannot see its barriers and would
-/// report every parallel walk as a race (the serial walk has the same
-/// bits, and the concurrency suites stay free of false reports).
+/// supplies the parallelism), otherwise kernel_threads() (1 under
+/// ThreadSanitizer; the serial walk has the same bits).
 int walk_threads() {
-#if defined(_OPENMP) && !defined(__SANITIZE_THREAD__)
-  if (!ThreadPool::on_worker_thread()) return omp_get_max_threads();
-#endif
-  return 1;
+  return ThreadPool::on_worker_thread() ? 1 : kernel_threads();
 }
 
 // The walker.  A Schedule provides

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "kernels/mttkrp.hpp"
+#include "kernels/omp_threads.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -61,7 +62,7 @@ DenseMatrix mttkrp_csf_cpu_tiled(const CsfTensor& csf,
         std::min<index_t>(leaf_dim, static_cast<index_t>(k_lo + tile_width));
     if (k_lo >= leaf_dim) break;
 
-#pragma omp parallel
+#pragma omp parallel num_threads(kernel_threads())
     {
       std::vector<value_t> tmp(rank);
       std::vector<value_t> path(rank);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "kernels/mttkrp.hpp"
+#include "kernels/omp_threads.hpp"
 #include "util/error.hpp"
 
 namespace bcsf {
@@ -52,7 +53,7 @@ DenseMatrix ttv_coo_cpu(const CooSlices& coo,
       static_cast<std::int64_t>(coo.slice_start.size()) - 1;
 
   DenseMatrix out(sorted.dim(mode), 1);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) num_threads(kernel_threads())
   for (std::int64_t s = 0; s < n_slices; ++s) {
     value_t sum = 0.0F;
     for (offset_t z = coo.slice_start[s]; z < coo.slice_start[s + 1]; ++z) {
@@ -136,7 +137,8 @@ double fit_inner_coo_cpu(const SparseTensor& tensor,
   const rank_t rank = factors.front().cols();
   const std::int64_t n = static_cast<std::int64_t>(tensor.nnz());
   double inner = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : inner)
+#pragma omp parallel for schedule(static) reduction(+ : inner) \
+    num_threads(kernel_threads())
   for (std::int64_t z = 0; z < n; ++z) {
     const offset_t zz = static_cast<offset_t>(z);
     double row_sum = 0.0;

@@ -124,7 +124,7 @@ TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
 /// reproduces the slice boundary offsets of the sorted stream, and the
 /// identical snap-or-split rule runs against them -- but never sorts the
 /// nonzeros: shards are materialized by one bucketing pass in input
-/// order.  O(nnz + S log S) instead of O(nnz log nnz), no scratch copy.
+/// order.  O(nnz + S log S), no sort of the nonzeros, no scratch copy.
 /// `sketch` must describe exactly `tensor`'s mode-`mode` structure.
 TensorPartition partition_tensor(const SparseTensor& tensor, index_t mode,
                                  unsigned shards, const ModeSketch& sketch);

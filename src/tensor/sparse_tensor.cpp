@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -54,30 +56,69 @@ void SparseTensor::push_back(std::span<const index_t> coords, value_t value) {
   vals_.push_back(value);
 }
 
+namespace {
+
+constexpr unsigned kDigitBits = 16;
+constexpr index_t kDigitMask = (index_t{1} << kDigitBits) - 1;
+
+// The permutation that stably sorts the nonzeros by the key
+// (inds[order[0]], ..., inds[order.back()]), found by an LSD radix sort:
+// modes from the least to the most significant, one counting pass per
+// 16-bit digit that dims[mode] - 1 reaches, none for a digit every
+// nonzero shares.  Equal keys keep their insertion order.
+template <typename P>
+std::vector<P> sorted_permutation(const std::vector<index_vec>& inds,
+                                  const std::vector<index_t>& dims,
+                                  const ModeOrder& order, offset_t m) {
+  std::vector<P> perm(m);
+  std::iota(perm.begin(), perm.end(), P{0});
+  if (m <= 1) return perm;
+  std::vector<P> next(m);
+  std::vector<P> start;
+  for (auto mode = order.rbegin(); mode != order.rend(); ++mode) {
+    const index_vec& keys = inds[*mode];
+    const index_t max_key = dims[*mode] - 1;
+    for (unsigned shift = 0; shift < 32 && (max_key >> shift) != 0;
+         shift += kDigitBits) {
+      // The digit histogram does not depend on the order: count it on
+      // the keys as stored, a sequential read.
+      start.assign(std::min(max_key >> shift, kDigitMask) + std::size_t{1},
+                   P{0});
+      for (index_t k : keys) ++start[(k >> shift) & kDigitMask];
+      if (start[(keys[0] >> shift) & kDigitMask] == m) continue;
+      P sum = 0;
+      for (P& s : start) sum += std::exchange(s, sum);
+      for (P z : perm) next[start[(keys[z] >> shift) & kDigitMask]++] = z;
+      perm.swap(next);
+    }
+  }
+  return perm;
+}
+
+template <typename T, typename P>
+void permute(std::vector<T>& arr, const std::vector<P>& perm) {
+  std::vector<T> out(arr.size());
+  for (std::size_t z = 0; z < out.size(); ++z) out[z] = arr[perm[z]];
+  arr = std::move(out);
+}
+
+}  // namespace
+
 void SparseTensor::sort(const ModeOrder& order_perm) {
   BCSF_CHECK(order_perm.size() == dims_.size(),
              "sort: mode order has wrong length");
   const offset_t m = nnz();
-  std::vector<offset_t> perm(m);
-  std::iota(perm.begin(), perm.end(), offset_t{0});
-  std::sort(perm.begin(), perm.end(), [&](offset_t a, offset_t b) {
-    for (index_t mode : order_perm) {
-      const index_t ia = inds_[mode][a];
-      const index_t ib = inds_[mode][b];
-      if (ia != ib) return ia < ib;
-    }
-    return false;
-  });
-  // Apply the permutation out-of-place per array (memory is cheap compared
-  // to the O(M log M) sort above).
-  for (auto& arr : inds_) {
-    index_vec tmp(m);
-    for (offset_t z = 0; z < m; ++z) tmp[z] = arr[perm[z]];
-    arr = std::move(tmp);
+  const auto apply = [this](const auto& perm) {
+    for (auto& arr : inds_) permute(arr, perm);
+    permute(vals_, perm);
+  };
+  // The permutation (and its scratch copy, freed before the arrays are
+  // permuted) costs 4 B per nonzero, 8 B only past 2^32 nonzeros.
+  if (m < (offset_t{1} << 32)) {
+    apply(sorted_permutation<std::uint32_t>(inds_, dims_, order_perm, m));
+  } else {
+    apply(sorted_permutation<offset_t>(inds_, dims_, order_perm, m));
   }
-  value_vec tmpv(m);
-  for (offset_t z = 0; z < m; ++z) tmpv[z] = vals_[perm[z]];
-  vals_ = std::move(tmpv);
 }
 
 bool SparseTensor::is_sorted(const ModeOrder& order_perm) const {

@@ -58,15 +58,17 @@ class SparseTensor {
 
   /// Lexicographically sorts the nonzeros by the given mode ordering
   /// (perm[0] is the most significant key).  CSF construction for mode n
-  /// requires sorting by mode_order_for(n, order()).
+  /// requires sorting by mode_order_for(n, order()).  The sort is a stable
+  /// radix sort, O(nnz) per 16-bit key digit: nonzeros with equal
+  /// coordinates keep their insertion order.
   void sort(const ModeOrder& order);
 
   /// True if nonzeros are sorted by the given ordering.
   bool is_sorted(const ModeOrder& order) const;
 
-  /// Merges duplicate coordinates by summing their values.  The tensor is
-  /// sorted by the identity mode order afterwards.  Returns the number of
-  /// duplicates removed.
+  /// Merges duplicate coordinates by summing their values in insertion
+  /// order.  The tensor is sorted by the identity mode order afterwards.
+  /// Returns the number of duplicates removed.
   offset_t coalesce();
 
   /// Verifies structural invariants (index bounds, equal array lengths);

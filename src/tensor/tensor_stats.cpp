@@ -1,8 +1,6 @@
 #include "tensor/tensor_stats.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <span>
 #include <sstream>
 
@@ -72,57 +70,8 @@ SliceFiberCounts count_slices_and_fibers(const SparseTensor& sorted,
 
 namespace {
 
-// Scans a tensor through a sorted permutation -- the shared-buffer variant
-// of count_slices_and_fibers that lets compute_all_mode_stats reuse one
-// index array across modes instead of copying and re-sorting the nonzeros
-// per mode.
-SliceFiberCounts count_slices_and_fibers_perm(const SparseTensor& tensor,
-                                              const ModeOrder& order,
-                                              std::span<const offset_t> perm) {
-  SliceFiberCounts out;
-  const offset_t m = static_cast<offset_t>(perm.size());
-  if (m == 0) return out;
-
-  const index_t root = order.front();
-  const index_t n_modes = tensor.order();
-  auto same_fiber = [&](offset_t a, offset_t b) {
-    for (index_t level = 0; level + 1 < n_modes; ++level) {
-      if (tensor.coord(order[level], perm[a]) !=
-          tensor.coord(order[level], perm[b])) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  offset_t slice_start = 0;
-  offset_t fiber_start = 0;
-  out.slice_index.push_back(tensor.coord(root, perm[0]));
-  out.slice_fiber_begin.push_back(0);
-  for (offset_t z = 1; z <= m; ++z) {
-    const bool end_of_data = (z == m);
-    const bool new_fiber = end_of_data || !same_fiber(z - 1, z);
-    const bool new_slice = end_of_data || tensor.coord(root, perm[z]) !=
-                                              tensor.coord(root, perm[z - 1]);
-    if (new_fiber) {
-      out.fiber_nnz.push_back(z - fiber_start);
-      fiber_start = z;
-    }
-    if (new_slice) {
-      out.slice_nnz.push_back(z - slice_start);
-      slice_start = z;
-      if (!end_of_data) {
-        out.slice_index.push_back(tensor.coord(root, perm[z]));
-        out.slice_fiber_begin.push_back(out.fiber_nnz.size());
-      }
-    }
-  }
-  out.slice_fiber_begin.push_back(out.fiber_nnz.size());
-  return out;
-}
-
 // Distribution summaries and §V slice classification from a completed
-// slice/fiber scan; shared by both exact entry points.
+// slice/fiber scan.
 void fill_mode_stats(ModeStats& s, const SliceFiberCounts& c) {
   s.num_slices = c.slice_nnz.size();
   s.num_fibers = c.fiber_nnz.size();
@@ -180,30 +129,8 @@ ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode) {
 std::vector<ModeStats> compute_all_mode_stats(const SparseTensor& tensor) {
   std::vector<ModeStats> all;
   all.reserve(tensor.order());
-  // One permutation buffer, re-sorted per mode: the nonzero arrays are
-  // never copied, and the allocation is paid once instead of per mode.
-  std::vector<offset_t> perm(tensor.nnz());
   for (index_t mode = 0; mode < tensor.order(); ++mode) {
-    ModeStats s;
-    s.mode = mode;
-    s.nnz = tensor.nnz();
-    if (tensor.nnz() == 0) {
-      all.push_back(s);
-      continue;
-    }
-    g_exact_stat_scans.fetch_add(1, std::memory_order_relaxed);
-    const ModeOrder order = mode_order_for(mode, tensor.order());
-    std::iota(perm.begin(), perm.end(), offset_t{0});
-    std::sort(perm.begin(), perm.end(), [&](offset_t a, offset_t b) {
-      for (index_t level : order) {
-        const index_t ca = tensor.coord(level, a);
-        const index_t cb = tensor.coord(level, b);
-        if (ca != cb) return ca < cb;
-      }
-      return false;
-    });
-    fill_mode_stats(s, count_slices_and_fibers_perm(tensor, order, perm));
-    all.push_back(s);
+    all.push_back(compute_mode_stats(tensor, mode));
   }
   return all;
 }

@@ -40,8 +40,7 @@ struct ModeStats {
 /// a sorted copy is made internally.
 ModeStats compute_mode_stats(const SparseTensor& tensor, index_t mode);
 
-/// Computes ModeStats for every mode.  One shared index buffer is sorted
-/// per mode; the nonzero arrays are never copied.
+/// Computes ModeStats for every mode (compute_mode_stats per mode).
 std::vector<ModeStats> compute_all_mode_stats(const SparseTensor& tensor);
 
 /// Process-wide count of O(nnz) exact-stats scans (every
