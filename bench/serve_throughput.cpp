@@ -32,7 +32,7 @@
 // last shard finishing) and reduce latency (reduce_ms, combining shard
 // results into the response), plus which combine path dominated --
 // "disjoint" when partition-mode requests skipped the K-way reduce,
-// "merge" when only the double-reduce ran, "single" for monolithic
+// "merge" when only the double-reduce ran, "single" for one-shard
 // tensors.  Compare shards=4 vs shards=1 at equal workers: the disjoint
 // path plus batch-amortized fan-out is what makes sharding pay on
 // req/s and p99, not just on time_to_structured.
@@ -130,8 +130,8 @@ struct RunRow {
   /// Mean per-request fan-out / reduce overhead (ServeResponse timings).
   double fanout_ms = 0.0;
   double reduce_ms = 0.0;
-  /// Strongest combine path observed: "disjoint" > "merge" > "single".
-  std::string reduce_path = "single";
+  /// Strongest combine path observed: disjoint > merge > single.
+  bcsf::ReducePath reduce_path = bcsf::ReducePath::kSingle;
   std::string final_format;
   std::uint64_t compactions = 0;
   std::uint64_t final_version = 0;
@@ -157,10 +157,8 @@ struct RunRow {
   bool budget_match = true;
   // --- planning-latency accounting (BENCH_serve/v7, DESIGN.md §12) ---
   /// Total wall ms the service spent resolving upgrade policy across the
-  /// run, and the number of decisions that covers.  Sketch-backed
-  /// resolution (ServeOptions::sketch_policy, the default) reads O(S)
-  /// sketch state per decision, so this column stays flat as nnz grows;
-  /// the exact path rescans O(nnz) per decision.
+  /// run, and the number of decisions that covers.  Every resolution
+  /// reads O(S) sketch state, so this column stays flat as nnz grows.
   double policy_ms = 0.0;
   std::uint64_t policy_resolutions = 0;
   std::vector<ShardTiming> shard_timings;
@@ -419,7 +417,7 @@ int main(int argc, char** argv) {
       opts.upgrade_format = upgrade;
       opts.upgrade_threshold = threshold;
       opts.storage_budget_bytes = budget_bytes;
-      MttkrpService service(opts);
+      TensorOpService service(opts);
       for (int t = 0; t < tenants; ++t) {
         service.register_tensor(tenant_name(t),
                                 share_tensor(SparseTensor(fleet[
@@ -561,7 +559,7 @@ int main(int argc, char** argv) {
       opts.shards = shards;
       opts.upgrade_format = upgrade;
       opts.upgrade_threshold = threshold;
-      MttkrpService service(opts);
+      TensorOpService service(opts);
       /// Tensor the row's lifecycle stats key on: "bench" for synthetic
       /// runs, the trace's first registered tensor for --trace runs.
       std::string stat_tensor = "bench";
@@ -595,11 +593,10 @@ int main(int argc, char** argv) {
         op_latencies_ms[static_cast<int>(response.op)].push_back(latency);
         row.fanout_ms += response.fanout_ms;
         row.reduce_ms += response.reduce_ms;
-        if (response.reduce_path == "disjoint") {
-          row.reduce_path = "disjoint";
-        } else if (response.reduce_path == "merge" &&
-                   row.reduce_path != "disjoint") {
-          row.reduce_path = "merge";
+        if (response.reduce_path == ReducePath::kDisjoint ||
+            (response.reduce_path == ReducePath::kMerge &&
+             row.reduce_path != ReducePath::kDisjoint)) {
+          row.reduce_path = response.reduce_path;
         }
       };
 
@@ -765,7 +762,8 @@ int main(int argc, char** argv) {
       }
       table.row(row.shards, row.workers, static_cast<long>(row.req_per_s),
                 row.wall_ms, row.p50_ms, row.p99_ms, row.fanout_ms,
-                row.reduce_ms, row.reduce_path, row.time_to_structured_ms,
+                row.reduce_ms, reduce_path_name(row.reduce_path),
+                row.time_to_structured_ms,
                 row.pre_upgrade, row.post_upgrade, row.final_format,
                 static_cast<long>(row.compactions), row.policy_ms);
       rows.push_back(row);
@@ -822,7 +820,8 @@ int main(int argc, char** argv) {
           << ", \"p99_ms\": " << r.p99_ms
           << ", \"fanout_ms\": " << r.fanout_ms
           << ", \"reduce_ms\": " << r.reduce_ms
-          << ", \"reduce_path\": \"" << r.reduce_path << "\""
+          << ", \"reduce_path\": \"" << reduce_path_name(r.reduce_path)
+          << "\""
           << ", \"time_to_structured_ms\": " << r.time_to_structured_ms
           << ", \"pre_upgrade\": " << r.pre_upgrade
           << ", \"post_upgrade\": " << r.post_upgrade

@@ -1,5 +1,5 @@
 // Serve-then-upgrade walkthrough (DESIGN.md §5): stand up an
-// MttkrpService, register a tensor, and watch the amortization story
+// TensorOpService, register a tensor, and watch the amortization story
 // play out -- early requests are answered instantly from the
 // zero-preprocessing COO plan, the Fig-10 break-even count trips a
 // background B-CSF build, and later requests ride the structured plan
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   opts.initial_format = "coo";   // answer from request #1, zero build
   opts.upgrade_format = "auto";  // let the §V policy pick the structure
   opts.upgrade_threshold = threshold;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
 
   std::cout << "Registering " << x.shape_string() << " (" << x.nnz()
             << " nnz); serving mode-0 MTTKRP, upgrade after " << threshold
@@ -47,16 +47,16 @@ int main(int argc, char** argv) {
   service.register_tensor("demo", share_tensor(std::move(x)));
 
   for (int wave = 0; wave < waves; ++wave) {
-    std::vector<MttkrpRequest> batch(
+    std::vector<ServeRequest> batch(
         static_cast<std::size_t>(wave_size),
-        MttkrpRequest{"demo", 0, factors});
+        ServeRequest{"demo", 0, factors});
     auto futures = service.submit_batch(std::move(batch));
 
     int upgraded = 0;
     double max_err = 0.0;
     std::string formats;
     for (auto& future : futures) {
-      MttkrpResponse r = future.get();
+      ServeResponse r = future.get();
       if (r.upgraded) ++upgraded;
       max_err = std::max(max_err, truth.max_abs_diff(r.output));
       if (formats.find(r.served_format) == std::string::npos) {

@@ -154,10 +154,6 @@ class TensorOpPlan {
   double build_seconds_ = 0.0;
 };
 
-/// Back-compat alias from the MTTKRP-only era; new code should say
-/// TensorOpPlan.
-using MttkrpPlan = TensorOpPlan;
-
 using PlanPtr = std::unique_ptr<TensorOpPlan>;
 
 }  // namespace bcsf

@@ -43,29 +43,15 @@ DenseMatrix mttkrp_reference(const SparseTensor& tensor, index_t mode,
                              const std::vector<DenseMatrix>& factors);
 
 /// Adds the MTTKRP contribution of `deltas` -- COO batches of additive
-/// updates with the base tensor's dims -- into `inout` (dims[mode] x R,
-/// typically a base plan's output).  MTTKRP is linear in the tensor
-/// values, so base-plan-result + delta contribution equals the MTTKRP of
-/// the merged tensor.  Accumulates in double like mttkrp_reference:
-/// inout is promoted ONCE, every chunk's terms accumulate, and one cast
-/// back happens at the end -- so a whole TensorSnapshot delta is swept
-/// with a single float rounding boundary (per-chunk calls would round at
-/// every chunk seam) and without per-chunk buffer copies.
-void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
-                             DenseMatrix& inout);
-
-/// Single-chunk convenience overload.
-void mttkrp_delta_accumulate(const SparseTensor& delta, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
-                             DenseMatrix& inout);
-
-/// Double-accumulator variant for callers already holding a promoted
-/// buffer (`acc` is row-major dims[mode] x R): adds every chunk's MTTKRP
-/// terms with NO float rounding at all.  The sharded serving path sweeps
-/// each shard's delta into the shard's double partial this way, so a
-/// whole K-shard response rounds at exactly one float boundary when the
-/// partials are reduced (DESIGN.md §8).
+/// updates with the base tensor's dims -- into `acc` (row-major
+/// dims[mode] x R, typically a base plan's output promoted to double).
+/// MTTKRP is linear in the tensor values, so base-plan-result + delta
+/// contribution equals the MTTKRP of the merged tensor.  Every chunk's
+/// terms accumulate with NO float rounding at all: the serving path
+/// sweeps each shard's delta into the shard's double partial this way,
+/// so a whole response rounds at exactly one float boundary when the
+/// partials are reduced (DESIGN.md §8).  Throws on a bad mode, a factor
+/// shape mismatch, or an `acc` that is not dims[mode] x R.
 void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                              const std::vector<DenseMatrix>& factors,
                              std::span<double> acc);

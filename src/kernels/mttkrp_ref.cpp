@@ -62,6 +62,8 @@ void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
     total += chunk->nnz();
   }
   if (total == 0) return;
+  BCSF_CHECK(mode < deltas.front()->order(),
+             "mttkrp_delta_accumulate: bad mode");
   const rank_t rank = factors.front().cols();
   BCSF_CHECK(acc.size() ==
                  static_cast<std::size_t>(deltas.front()->dim(mode)) * rank,
@@ -120,43 +122,6 @@ void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
       for (rank_t r = 0; r < rank; ++r) acc[base + r] += prod[r];
     }
   }
-}
-
-void mttkrp_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
-                             DenseMatrix& inout) {
-  offset_t total = 0;
-  for (const TensorPtr& chunk : deltas) {
-    BCSF_CHECK(chunk != nullptr, "mttkrp_delta_accumulate: null chunk");
-    total += chunk->nnz();
-  }
-  if (total == 0) return;
-
-  const SparseTensor& first = *deltas.front();
-  check_factors(first.dims(), factors);
-  BCSF_CHECK(mode < first.order(), "mttkrp_delta_accumulate: bad mode");
-  const rank_t rank = factors.front().cols();
-  BCSF_CHECK(inout.rows() == first.dim(mode) && inout.cols() == rank,
-             "mttkrp_delta_accumulate: inout is "
-                 << inout.rows() << " x " << inout.cols() << ", expected "
-                 << first.dim(mode) << " x " << rank);
-
-  // Promote once, sweep every chunk, cast back once: a multi-chunk delta
-  // rounds at exactly one float boundary, like the reference would on
-  // the concatenated nonzero stream seeded with inout.
-  std::vector<double> acc(inout.data().begin(), inout.data().end());
-  mttkrp_delta_accumulate(deltas, mode, factors, std::span<double>(acc));
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    inout.data()[i] = static_cast<value_t>(acc[i]);
-  }
-}
-
-void mttkrp_delta_accumulate(const SparseTensor& delta, index_t mode,
-                             const std::vector<DenseMatrix>& factors,
-                             DenseMatrix& inout) {
-  const TensorPtr view(TensorPtr{}, &delta);  // non-owning, call-scoped
-  mttkrp_delta_accumulate(std::span<const TensorPtr>(&view, 1), mode,
-                          factors, inout);
 }
 
 }  // namespace bcsf

@@ -71,17 +71,9 @@ DenseMatrix ttv_coo_cpu(const CooSlices& coo,
 
 void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                           const std::vector<DenseMatrix>& vectors,
-                          DenseMatrix& inout) {
-  // Rank-1 multi-TTV IS mode-`mode` MTTKRP of rank-1 factors; the delta
-  // sweep shares the promote-once/cast-once contract with the MTTKRP
-  // variant, so delegating keeps the two paths bitwise-identical.
-  if (!deltas.empty()) check_vectors(deltas.front()->dims(), vectors);
-  mttkrp_delta_accumulate(deltas, mode, vectors, inout);
-}
-
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
                           std::span<double> acc) {
+  // Rank-1 multi-TTV IS mode-`mode` MTTKRP of rank-1 factors; delegating
+  // keeps the two delta sweeps bitwise-identical.
   if (!deltas.empty()) check_vectors(deltas.front()->dims(), vectors);
   mttkrp_delta_accumulate(deltas, mode, vectors, acc);
 }

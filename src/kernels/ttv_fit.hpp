@@ -47,17 +47,10 @@ DenseMatrix ttv_reference(const SparseTensor& tensor, index_t mode,
 DenseMatrix ttv_coo_cpu(const CooSlices& coo,
                         const std::vector<DenseMatrix>& vectors);
 
-/// Adds the multi-TTV contribution of frozen COO delta chunks into
-/// `inout` (dims[mode] x 1, typically a base plan's output).  Promotes
-/// once, sweeps every chunk, casts back once -- exactly the
+/// Adds the multi-TTV contribution of frozen COO delta chunks into `acc`
+/// (dims[mode] entries, typically a base plan's output promoted to
+/// double) with no float rounding -- exactly the
 /// mttkrp_delta_accumulate contract at rank 1.
-void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
-                          const std::vector<DenseMatrix>& vectors,
-                          DenseMatrix& inout);
-
-/// Double-accumulator variant (`acc` has dims[mode] entries): adds every
-/// chunk's multi-TTV terms with no float rounding, mirroring the
-/// mttkrp_delta_accumulate span overload for the sharded serving path.
 void ttv_delta_accumulate(std::span<const TensorPtr> deltas, index_t mode,
                           const std::vector<DenseMatrix>& vectors,
                           std::span<double> acc);

@@ -12,15 +12,11 @@ namespace bcsf {
 
 ConcurrentPlanCache::ConcurrentPlanCache(TensorPtr tensor, PlanOptions opts,
                                          BuildFn build,
-                                         std::uint64_t tensor_version,
-                                         double heat_decay)
+                                         std::uint64_t tensor_version)
     : tensor_(std::move(tensor)), opts_(std::move(opts)),
       build_(std::move(build)), tensor_version_(tensor_version),
-      heat_decay_(heat_decay), heat_(tensor_ ? tensor_->order() : 0) {
+      heat_(tensor_ ? tensor_->order() : 0) {
   BCSF_CHECK(tensor_ != nullptr, "ConcurrentPlanCache: null tensor");
-  BCSF_CHECK(heat_decay_ > 0.0 && heat_decay_ <= 1.0,
-             "ConcurrentPlanCache: heat_decay must be in (0, 1], got "
-                 << heat_decay_);
   if (!build_) {
     build_ = [](const std::string& format, const SparseTensor& t, index_t mode,
                 const PlanOptions& o) {
@@ -175,7 +171,7 @@ bool ConcurrentPlanCache::coo_family(const std::string& format) {
 double ConcurrentPlanCache::decayed(double heat, std::uint64_t last,
                                     std::uint64_t now) const {
   if (now <= last || heat == 0.0) return heat;
-  return heat * std::pow(heat_decay_, static_cast<double>(now - last));
+  return heat * std::pow(kHeatDecay, static_cast<double>(now - last));
 }
 
 void ConcurrentPlanCache::note_call(index_t mode, std::uint64_t tick) {

@@ -61,13 +61,10 @@ class ConcurrentPlanCache {
   /// `tensor_version` identifies the snapshot the cache builds plans
   /// from (DynamicSparseTensor's TensorSnapshot::base_version; 0 for a
   /// static tensor).  Plans in this cache are valid exactly for that
-  /// snapshot version.  `heat_decay` in (0, 1] is the per-tick decay
-  /// factor of the per-mode heat counters (see note_call); 1 disables
-  /// decay.
+  /// snapshot version.
   explicit ConcurrentPlanCache(TensorPtr tensor, PlanOptions opts = {},
                                BuildFn build = {},
-                               std::uint64_t tensor_version = 0,
-                               double heat_decay = 0.5);
+                               std::uint64_t tensor_version = 0);
 
   /// Returns the plan for (format, mode, op), building it on first use.
   /// Concurrent callers for the same key get the same plan from exactly
@@ -120,7 +117,10 @@ class ConcurrentPlanCache {
   // caller-supplied logical tick (the service's global request counter)
   // rather than wall-clock time, so eviction order is deterministic and
   // replayable.  At tick `t`, a counter last touched at tick `t0` with
-  // value `h` reads as `h * heat_decay^(t - t0)`.
+  // value `h` reads as `h * kHeatDecay^(t - t0)`.
+
+  /// Per-tick decay factor of the heat counters.
+  static constexpr double kHeatDecay = 0.5;
 
   /// Record one call against `mode` at logical time `tick`.
   void note_call(index_t mode, std::uint64_t tick);
@@ -131,8 +131,6 @@ class ConcurrentPlanCache {
   /// Overwrite `mode`'s heat (compaction carries heat from the retiring
   /// generation's cache into its replacement).
   void set_heat(index_t mode, double value, std::uint64_t tick);
-
-  double heat_decay() const { return heat_decay_; }
 
   /// Sum of storage_bytes() over completed STRUCTURED plans.  COO-family
   /// plans are excluded: they reference the source tensor rather than
@@ -172,7 +170,6 @@ class ConcurrentPlanCache {
   PlanOptions opts_;   // const after construction
   BuildFn build_;      // const after construction
   std::uint64_t tensor_version_ BCSF_GUARDED_BY(mutex_) = 0;
-  double heat_decay_ = 0.5;  // const after construction
   // One shared_future per key: pending while the winning thread builds,
   // ready once the plan exists.  Failed builds are erased.
   std::map<Key, std::shared_future<SharedPlan>> slots_ BCSF_GUARDED_BY(mutex_);

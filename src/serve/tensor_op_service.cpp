@@ -20,32 +20,40 @@ namespace bcsf {
 
 namespace {
 
-/// Formats whose "build" is free because their representation IS the
-/// source tensor (DESIGN.md §2).  Only these may serve the initial path,
-/// and upgrading to one of them would buy nothing.
-bool is_coo_family(const std::string& format) {
-  return ConcurrentPlanCache::coo_family(format);
-}
+/// Structured builds admitted to the pool at once, drawn round-robin
+/// across tenants by the fair upgrade scheduler -- a whale tensor
+/// queueing many shard builds cannot starve other tenants' upgrades.
+constexpr std::size_t kConcurrentUpgrades = 2;
 
 }  // namespace
+
+const char* reduce_path_name(ReducePath path) {
+  switch (path) {
+    case ReducePath::kSingle:
+      return "single";
+    case ReducePath::kDisjoint:
+      return "disjoint";
+    case ReducePath::kMerge:
+      return "merge";
+  }
+  return "unknown";
+}
 
 TensorOpService::TensorOpService(ServeOptions opts)
     : opts_(std::move(opts)),
       budget_(opts_.storage_budget_bytes),
-      scheduler_(pool_, opts_.max_concurrent_upgrades == 0
-                            ? opts_.workers
-                            : opts_.max_concurrent_upgrades),
+      scheduler_(pool_, kConcurrentUpgrades),
       pool_(opts_.workers) {
-  BCSF_CHECK(is_coo_family(opts_.initial_format),
+  // COO-family formats' "build" is free because their representation IS
+  // the source tensor (DESIGN.md §2): only they may serve the initial
+  // path.
+  BCSF_CHECK(ConcurrentPlanCache::coo_family(opts_.initial_format),
              "TensorOpService: initial_format '"
                  << opts_.initial_format
                  << "' is not zero-preprocessing (COO family)");
   BCSF_CHECK(opts_.upgrade_format != "sharded",
              "TensorOpService: upgrade_format 'sharded' is redundant -- the "
              "service shards tensors itself (ServeOptions::shards)");
-  BCSF_CHECK(opts_.heat_decay > 0.0 && opts_.heat_decay <= 1.0,
-             "TensorOpService: heat_decay must be in (0, 1], got "
-                 << opts_.heat_decay);
 }
 
 TensorOpService::~TensorOpService() = default;
@@ -57,54 +65,43 @@ void TensorOpService::register_tensor(const std::string& name,
              "TensorOpService: null tensor '" << name << "'");
   BCSF_CHECK(tensor->nnz() > 0,
              "TensorOpService: tensor '" << name << "' has no nonzeros");
-  BCSF_CHECK(opts_.shard_mode < tensor->order(),
-             "TensorOpService: shard_mode " << opts_.shard_mode
-                                            << " out of range for tensor '"
-                                            << name << "'");
 
   // Sketch the partition mode in ONE streaming pass (DESIGN.md §12):
   // the same O(nnz) walk feeds shard pricing (nnz + slice skew) and the
   // slice-mass CDF the sketched partitioner cuts against, replacing the
   // register path's O(nnz log nnz) sort.
-  ModeSketch reg_sketch(opts_.shard_mode, tensor->order());
-  if (opts_.sketch_policy) {
-    std::vector<index_t> coords(tensor->order());
-    for (offset_t z = 0; z < tensor->nnz(); ++z) {
-      for (index_t m = 0; m < tensor->order(); ++m) {
-        coords[m] = tensor->coord(m, z);
-      }
-      reg_sketch.add(coords);
+  ModeSketch reg_sketch(kPartitionMode, tensor->order());
+  std::vector<index_t> coords(tensor->order());
+  for (offset_t z = 0; z < tensor->nnz(); ++z) {
+    for (index_t m = 0; m < tensor->order(); ++m) {
+      coords[m] = tensor->coord(m, z);
     }
+    reg_sketch.add(coords);
   }
 
   // Auto pricing is overhead-aware (DESIGN.md §8): the partition mode's
   // extent scales the merge traffic a sharded request pays, so tensors
-  // below the fan-out/reduce break-even stay monolithic.  The sketched
+  // below the fan-out/reduce break-even stay one shard.  The sketched
   // slice skew additionally drops the reduce term when every cut
   // provably lands on a slice boundary (disjoint-output pricing).
   const unsigned want =
       opts_.shards == 0
-          ? auto_shard_count(tensor->nnz(), tensor->dim(opts_.shard_mode),
-                             AutoPolicyOptions{},
-                             opts_.sketch_policy ? reg_sketch.max_slice_nnz()
-                                                 : offset_t{0})
+          ? auto_shard_count(tensor->nnz(), tensor->dim(kPartitionMode),
+                             AutoPolicyOptions{}, reg_sketch.max_slice_nnz())
           : opts_.shards;
   auto state = std::make_unique<TensorState>();
   state->name = name;
   state->dims = tensor->dims();
-  state->partition_mode = opts_.shard_mode;
   if (want <= 1) {
-    // Monolithic fast path: one shard covering every slice, no partition
-    // copy -- bit-for-bit the pre-§8 service.
+    // One shard covering every slice: no partition copy, and the shard
+    // owns every output row of every mode (TensorState::owned_rows).
     state->route_begin.push_back(0);
     state->shards.push_back(std::make_unique<ShardState>(
-        std::move(tensor), opts_.plan, 0, state->dims[opts_.shard_mode],
-        opts_.build_fn, opts_.heat_decay));
+        state.get(), 0, std::move(tensor), opts_.plan, 0,
+        state->dims[kPartitionMode], opts_.build_fn));
   } else {
     const TensorPartition partition =
-        opts_.sketch_policy
-            ? partition_tensor(*tensor, opts_.shard_mode, want, reg_sketch)
-            : partition_tensor(*tensor, opts_.shard_mode, want);
+        partition_tensor(*tensor, kPartitionMode, want, reg_sketch);
     BCSF_INFO << "TensorOpService: tensor '" << name << "' -> "
               << partition.to_string();
     // Unsplit slice ranges make partition-mode output rows private per
@@ -115,13 +112,9 @@ void TensorOpService::register_tensor(const std::string& name,
     for (const TensorShard& shard : partition.shards) {
       state->route_begin.push_back(shard.slice_begin);
       state->shards.push_back(std::make_unique<ShardState>(
-          shard.tensor, opts_.plan, shard.slice_begin, shard.slice_end,
-          opts_.build_fn, opts_.heat_decay));
+          state.get(), state->shards.size(), shard.tensor, opts_.plan,
+          shard.slice_begin, shard.slice_end, opts_.build_fn));
     }
-  }
-  for (std::size_t s = 0; s < state->shards.size(); ++s) {
-    state->shards[s]->owner = state.get();  // stable: held by unique_ptr
-    state->shards[s]->index = s;
   }
 
   WriterLock lock(tensors_mutex_);
@@ -144,13 +137,6 @@ TensorOpService::TensorState& TensorOpService::state_for(
   return *it->second;
 }
 
-std::size_t TensorOpService::route_slice(const TensorState& state,
-                                         index_t slice) const {
-  // The partitioner's routing rule, verbatim: routing must never drift
-  // from the slice ownership the partition established.
-  return bcsf::route_slice(state.route_begin, slice);
-}
-
 std::uint64_t TensorOpService::apply_updates(const std::string& tensor,
                                              SparseTensor updates) {
   TensorState& state = state_for(tensor);
@@ -161,33 +147,30 @@ std::uint64_t TensorOpService::apply_updates(const std::string& tensor,
   // frozen; compaction commits release exactly what they absorb.
   const std::size_t per_nnz = delta_bytes_per_nnz(state.order());
 
-  if (state.shards.size() == 1) {
-    ShardState& shard = *state.shards.front();
-    delta_bytes_.charge(static_cast<std::size_t>(updates.nnz()) * per_nnz);
-    const std::uint64_t version = shard.dynamic.apply(std::move(updates));
-    // The compaction trigger also rides on queries; checking here keeps an
-    // update-heavy, query-light workload from growing the delta unbounded.
-    maybe_launch_compaction(shard, shard.dynamic.snapshot());
-    maybe_launch_reclaim();
-    return version;
-  }
-
   // Route each nonzero to its shard by slice range (the partitioner's
   // split, one shared implementation), then apply the per-shard
   // sub-batches.  Only touched shards bump their version (and possibly
-  // compact); cold shards stay exactly as they were.
+  // compact); cold shards stay exactly as they were.  The compaction
+  // trigger also rides on queries; checking here keeps an update-heavy,
+  // query-light workload from growing the delta unbounded.
   std::vector<SparseTensor> routed = split_updates(
-      state.dims, state.partition_mode, state.route_begin, updates);
+      state.dims, kPartitionMode, state.route_begin, updates);
 
+  // A touched shard contributes the version apply() returned -- the one
+  // that first contains this batch.  Re-reading version() would pick up
+  // a racing updater's later batch, and a caller keying results by the
+  // returned version (a one-shard tensor's version is exact) would
+  // misattribute them.
   std::uint64_t version_sum = 0;
   for (std::size_t s = 0; s < routed.size(); ++s) {
     ShardState& shard = *state.shards[s];
-    if (routed[s].nnz() > 0) {
-      delta_bytes_.charge(static_cast<std::size_t>(routed[s].nnz()) * per_nnz);
-      shard.dynamic.apply(std::move(routed[s]));
-      maybe_launch_compaction(shard, shard.dynamic.snapshot());
+    if (routed[s].nnz() == 0) {
+      version_sum += shard.dynamic.version();
+      continue;
     }
-    version_sum += shard.dynamic.version();
+    delta_bytes_.charge(static_cast<std::size_t>(routed[s].nnz()) * per_nnz);
+    version_sum += shard.dynamic.apply(std::move(routed[s]));
+    maybe_launch_compaction(shard, shard.dynamic.snapshot());
   }
   maybe_launch_reclaim();
   return version_sum;
@@ -220,9 +203,12 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
 
   std::vector<std::future<ServeResponse>> futures(batch.size());
 
-  // Group the batch's multi-shard requests per tensor (submission order
-  // preserved within each group) so every group pays ONE task per shard
-  // -- the batch-amortized fan-out -- instead of K tasks per request.
+  // Group the batch's requests per tensor (submission order preserved
+  // within each group) so every group pays ONE task per shard -- the
+  // batch-amortized fan-out -- instead of K tasks per request.  A
+  // one-shard tensor has nothing to amortize: each of its requests is
+  // its own group, so the batch spreads across the pool instead of
+  // running serially in one task.
   std::vector<std::pair<TensorState*, BatchPtr>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     TensorState& state = *states[i];
@@ -238,28 +224,15 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
       if (!pool_.try_submit([task] { (*task)(); })) (*task)();
       continue;
     }
-    if (state.shards.size() == 1) {
-      // Monolithic tensors keep the per-request path (bit-for-bit the
-      // pre-§8 service, including its scheduling).  packaged_task +
-      // try_submit instead of async(): a submit racing pool shutdown
-      // must not throw out of this loop after earlier requests were
-      // already enqueued -- a refused task runs INLINE instead, so every
-      // future the caller holds resolves to a value or a bcsf::Error.
-      auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
-          [this, &state, req = std::move(batch[i])] {
-            return handle(state, req);
-          });
-      futures[i] = task->get_future();
-      if (!pool_.try_submit([task] { (*task)(); })) (*task)();
-      continue;
-    }
     auto item = std::make_unique<BatchItem>();
     item->request = std::move(batch[i]);
     futures[i] = item->promise.get_future();
-    auto group = std::find_if(groups.begin(), groups.end(),
-                              [&state](const auto& g) {
-                                return g.first == &state;
-                              });
+    auto group = state.shards.size() == 1
+                     ? groups.end()
+                     : std::find_if(groups.begin(), groups.end(),
+                                    [&state](const auto& g) {
+                                      return g.first == &state;
+                                    });
     if (group == groups.end()) {
       groups.emplace_back(
           &state, std::make_shared<std::vector<std::unique_ptr<BatchItem>>>());
@@ -279,8 +252,8 @@ void TensorOpService::dispatch_sharded(TensorState& state,
     item.sequence = state.calls.fetch_add(1, std::memory_order_relaxed) + 1;
     item.runs.resize(k);
     item.remaining.store(k, std::memory_order_relaxed);
-    item.disjoint = state.disjoint && item.request.op != OpKind::kFit &&
-                    item.request.mode == state.partition_mode;
+    item.disjoint = item.request.op != OpKind::kFit &&
+                    state.owned_rows(0, item.request.mode).has_value();
     if (item.disjoint) {
       const rank_t rank = item.request.op == OpKind::kTtv
                               ? 1
@@ -293,7 +266,9 @@ void TensorOpService::dispatch_sharded(TensorState& state,
   // delta chunks, and generation state stay on one worker's cache across
   // the whole batch, and the submission cost is K total.  The hint is
   // soft -- a busy worker's queue is stealable (ThreadPool), so a slow
-  // shard never serializes the batch behind it.
+  // shard never serializes the batch behind it.  A one-shard group goes
+  // unhinted to the shared queue: hinting it would park every one-shard
+  // request of every tenant on worker 0.
   //
   // try_submit, NOT submit: a submit racing pool shutdown used to throw
   // out of this loop, stranding every promise of the items the already-
@@ -312,13 +287,9 @@ void TensorOpService::dispatch_sharded(TensorState& state,
               item.first_start = std::chrono::steady_clock::now();
             }
             try {
-              const ShardPath path =
-                  item.disjoint ? ShardPath::kDisjoint : ShardPath::kMerge;
-              item.runs[s] = handle_shard(
-                  *state.shards[s], item.request, path,
-                  item.disjoint ? &item.output : nullptr,
-                  item.disjoint ? state.owned_begin[s] : 0,
-                  item.disjoint ? state.owned_begin[s + 1] : 0);
+              item.runs[s] =
+                  handle_shard(*state.shards[s], item.request,
+                               item.disjoint ? &item.output : nullptr);
             } catch (...) {
               // First failing shard wins the flag and records the error
               // BEFORE its decrement below publishes it to the finisher.
@@ -331,7 +302,9 @@ void TensorOpService::dispatch_sharded(TensorState& state,
             }
           }
         };
-    if (!pool_.try_submit(sweep, /*affinity=*/s)) sweep();
+    const bool queued = k == 1 ? pool_.try_submit(sweep)
+                               : pool_.try_submit(sweep, /*affinity=*/s);
+    if (!queued) sweep();
   }
 }
 
@@ -349,51 +322,36 @@ void TensorOpService::finalize_item(TensorState& state, BatchItem& item) {
 
 ServeResponse TensorOpService::reduce_item(TensorState& state,
                                            BatchItem& item) {
+  // Measured from the FIRST shard task starting, not from dispatch:
+  // dispatch-relative fan-out billed pool queue wait (every request
+  // queued behind the batch inflated it), which is admission's number,
+  // not the fan-out's.
+  const auto fanout_end = std::chrono::steady_clock::now();
+  Timer reduce_timer;
   const std::size_t k = state.shards.size();
   ServeResponse response;
   response.sequence = item.sequence;
   response.shards = k;
   response.op = item.request.op;
-  // Measured from the FIRST shard task starting, not from dispatch:
-  // dispatch-relative fan-out billed pool queue wait (every request
-  // queued behind the batch inflated it), which is admission's number,
-  // not the fan-out's.
-  response.fanout_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - item.first_start)
-          .count();
-
-  Timer reduce_timer;
   response.upgraded = true;
-  bool first = true;
+  response.served_format = item.runs.front().format;
   for (ShardRun& run : item.runs) {
     response.snapshot_version += run.snapshot_version;
     response.delta_nnz += run.delta_nnz;
     response.scalar += run.scalar;
     response.upgraded = response.upgraded && run.upgraded;
-    if (first) {
-      response.report = std::move(run.report);
-      response.served_format = run.format;
-    } else {
-      response.report += run.report;
-      if (response.served_format != run.format) {
-        response.served_format = "mixed";
-      }
-    }
-    first = false;
+    if (response.served_format != run.format) response.served_format = "mixed";
   }
-  response.report.kernel = "Serve x" + std::to_string(k);
   response.plan = std::move(item.runs.front().plan);
 
-  if (item.request.op == OpKind::kFit) {
-    // Scalar sum above IS the reduce; label it for the bench columns.
-    response.reduce_path = "merge";
-  } else if (item.disjoint) {
-    // Every row already sits in the shared output, written exactly once
-    // by its owning shard -- nothing left to combine.
+  // FIT: the scalar sum above IS the reduce.  Disjoint: every row already
+  // sits in the shared output, written exactly once by its owning shard
+  // -- nothing left to combine.
+  response.reduce_path = ReducePath::kMerge;
+  if (item.disjoint) {
     response.output = std::move(item.output);
-    response.reduce_path = "disjoint";
-  } else {
+    response.reduce_path = ReducePath::kDisjoint;
+  } else if (item.request.op != OpKind::kFit) {
     const rank_t rank = item.request.op == OpKind::kTtv
                             ? 1
                             : item.request.factors->front().cols();
@@ -404,8 +362,15 @@ ServeResponse TensorOpService::reduce_item(TensorState& state,
                                             rank, partials);
     // No explicit release: the leases return to the arena when the runs
     // die -- on THIS path and on every failure path alike.
-    response.reduce_path = "merge";
   }
+  if (k == 1) {
+    // One shard: nothing was fanned out or combined.
+    response.reduce_path = ReducePath::kSingle;
+    return response;
+  }
+  response.fanout_ms = std::chrono::duration<double, std::milli>(
+                           fanout_end - item.first_start)
+                           .count();
   response.reduce_ms = reduce_timer.milliseconds();
   return response;
 }
@@ -575,12 +540,13 @@ std::vector<TensorOpService::ShardStatus> TensorOpService::shard_status(
 
 std::size_t TensorOpService::shard_for_slice(const std::string& tensor,
                                              index_t slice) const {
-  return route_slice(state_for(tensor), slice);
+  // The partitioner's routing rule, verbatim: routing must never drift
+  // from the slice ownership the partition established.
+  return route_slice(state_for(tensor).route_begin, slice);
 }
 
 TensorOpService::ShardRun TensorOpService::handle_shard(
-    ShardState& shard, const ServeRequest& request, ShardPath path,
-    DenseMatrix* shared_out, index_t row_begin, index_t row_end) {
+    ShardState& shard, const ServeRequest& request, DenseMatrix* shared_out) {
   // Capture (generation, snapshot) consistently: the shared lock pairs a
   // base's plans with exactly the delta chunks the base does NOT contain.
   // Everything after this block works on immutable state, so the query
@@ -621,14 +587,10 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
     plan = slot.current;
     was_upgraded = slot.upgraded_flag;
   }
-  if (shard.owner != nullptr) {
-    (was_upgraded ? shard.owner->structured_served : shard.owner->coo_served)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  (was_upgraded ? shard.owner->structured_served : shard.owner->coo_served)
+      .fetch_add(1, std::memory_order_relaxed);
 
-  if (opts_.enable_upgrade && !was_upgraded) {
-    maybe_launch_upgrade(shard, gen, request.mode);
-  }
+  if (!was_upgraded) maybe_launch_upgrade(shard, gen, request.mode);
 
   // Base contribution through the plan; the op protocol dispatches TTV
   // and FIT onto the same traversal the structured build balanced.
@@ -643,25 +605,28 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
   // Per-op delta sweep: every op is linear in the tensor values, so the
   // frozen COO chunks' contribution on top of the base plan's result
   // yields the op on the shard's merged tensor.  Chunks are immutable;
-  // no lock is held.  kSingle keeps the float inout sweep (bit-for-bit
-  // the pre-§8 arithmetic); kMerge keeps the partial in DOUBLE so the
-  // cross-shard reduction casts exactly once; kDisjoint promotes only
-  // the shard's OWNED row window, sweeps its routed delta there, and
-  // casts straight into the shared output -- same single-cast boundary,
-  // no K-way reduce (rows outside the window are zero in both the
-  // shard's plan output and its routed delta, so dropping them loses
-  // exactly nothing).
+  // no lock is held.  The merge path keeps the partial in DOUBLE so the
+  // cross-shard reduction casts exactly once; the disjoint path promotes
+  // only the shard's OWNED row window, sweeps its routed delta there,
+  // and casts straight into the shared output -- same single-cast
+  // boundary, no K-way reduce (rows outside the window are zero in both
+  // the shard's plan output and its routed delta, so dropping them loses
+  // exactly nothing).  With no delta the float -> double -> float round
+  // trip is exact, so a one-shard response is the plan's output bit for
+  // bit.
   switch (request.op) {
     case OpKind::kMttkrp:
     case OpKind::kTtv: {
       const bool is_mttkrp = request.op == OpKind::kMttkrp;
-      if (path == ShardPath::kDisjoint) {
+      const auto data = run.output.data();
+      if (shared_out != nullptr) {
+        const auto [row_begin, row_end] =
+            *shard.owner->owned_rows(shard.index, request.mode);
         const rank_t rank = is_mttkrp ? request.factors->front().cols() : 1;
         const std::size_t lo = static_cast<std::size_t>(row_begin) * rank;
         const std::size_t hi = static_cast<std::size_t>(row_end) * rank;
         ScratchLease lease(arena_, hi - lo);
         std::span<double> acc(lease.get());
-        const auto data = run.output.data();
         std::copy(data.begin() + lo, data.begin() + hi, acc.begin());
         if (is_mttkrp) {
           mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
@@ -674,8 +639,7 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
         for (std::size_t i = 0; i < acc.size(); ++i) {
           dst[lo + i] = static_cast<value_t>(acc[i]);
         }
-      } else if (path == ShardPath::kMerge) {
-        const auto data = run.output.data();
+      } else {
         out.acc = ScratchLease(arena_, data.size());
         std::copy(data.begin(), data.end(), out.acc.get().begin());
         if (is_mttkrp) {
@@ -685,19 +649,12 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
           ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
                                std::span<double>(out.acc.get()));
         }
-      } else if (is_mttkrp) {
-        mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                                run.output);
-      } else {
-        ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                             run.output);
       }
       break;
     }
     case OpKind::kFit:
-      run.scalar += fit_inner_delta(snap.deltas, *request.factors,
-                                    op_request.lambda);
-      out.scalar = run.scalar;
+      out.scalar = run.scalar + fit_inner_delta(snap.deltas, *request.factors,
+                                                op_request.lambda);
       break;
     case OpKind::kStats:
       BCSF_CHECK(false,
@@ -713,35 +670,7 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
   out.upgraded = was_upgraded;
   out.snapshot_version = snap.version;
   out.delta_nnz = snap.delta_nnz;
-  out.report = std::move(run.report);
-  if (path == ShardPath::kSingle) out.result = std::move(run);
   return out;
-}
-
-ServeResponse TensorOpService::handle(TensorState& state,
-                                      const ServeRequest& request) {
-  // Single-shard tensors only: multi-shard requests go through the
-  // batch-amortized (shard, batch) tasks of dispatch_sharded.
-  const std::uint64_t sequence =
-      state.calls.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  ServeResponse response;
-  response.sequence = sequence;
-  response.shards = 1;
-  response.op = request.op;
-  response.reduce_path = "single";
-
-  ShardRun run = handle_shard(*state.shards.front(), request,
-                              ShardPath::kSingle, nullptr, 0, 0);
-  response.output = std::move(run.result.output);
-  response.scalar = run.result.scalar;
-  response.report = std::move(run.report);
-  response.served_format = std::move(run.format);
-  response.plan = std::move(run.plan);
-  response.upgraded = run.upgraded;
-  response.snapshot_version = run.snapshot_version;
-  response.delta_nnz = run.delta_nnz;
-  return response;
 }
 
 ServeResponse TensorOpService::handle_stats(TensorState& state,
@@ -799,7 +728,10 @@ ServeResponse TensorOpService::handle_stats(TensorState& state,
 }
 
 std::pair<std::string, double> TensorOpService::resolve_upgrade_policy(
-    const ShardState& shard, const Generation& gen, index_t mode) const {
+    const ShardState& shard, index_t mode) const {
+  // Upgrading to a zero-preprocessing format is a no-op: stay as served,
+  // and run no policy to find that out.
+  if (ConcurrentPlanCache::coo_family(opts_.upgrade_format)) return {"", 0.0};
   const auto t0 = std::chrono::steady_clock::now();
   std::string target = opts_.upgrade_format;
   double threshold = opts_.upgrade_threshold;
@@ -816,17 +748,13 @@ std::pair<std::string, double> TensorOpService::resolve_upgrade_policy(
     // own nnz: undersized shards price an infinite break-even and stay
     // COO -- per-shard format choice, the §8 point.
     policy.expected_mttkrp_calls = std::numeric_limits<double>::infinity();
-    // Sketch path (DESIGN.md §12): the §V bins come from the shard's
-    // streaming base sketch -- O(S) reads, no nonzero touched.  If a
-    // compaction retired `gen` between capture and here, the sketch
-    // describes the NEWER base; the decision lands in the retired
-    // generation's slot, which the fresh generation's own resolution
-    // supersedes anyway.  The exact path scans the generation's base
-    // (the validation oracle the parity tests compare against).
+    // The §V bins come from the shard's streaming base sketch (DESIGN.md
+    // §12) -- O(S) reads, no nonzero touched.  If a compaction retired
+    // the caller's generation meanwhile, the sketch describes the NEWER
+    // base; the decision lands in the retired generation's slot, which
+    // the fresh generation's own resolution supersedes anyway.
     const AutoDecision decision =
-        opts_.sketch_policy
-            ? auto_select_format(shard.dynamic.base_sketch(), mode, policy)
-            : auto_select_format(*gen.cache.tensor(), mode, policy);
+        auto_select_format(shard.dynamic.base_sketch(), mode, policy);
     if (target == "auto") target = decision.format;
     if (threshold <= 0.0) {
       threshold = std::isfinite(decision.breakeven_calls)
@@ -834,8 +762,8 @@ std::pair<std::string, double> TensorOpService::resolve_upgrade_policy(
                       : std::numeric_limits<double>::infinity();
     }
   }
-  // Upgrading to a zero-preprocessing format is a no-op: stay as served.
-  if (is_coo_family(target)) target.clear();
+  // The auto policy may pick COO itself: nothing to upgrade to then.
+  if (ConcurrentPlanCache::coo_family(target)) target.clear();
   policy_ns_.fetch_add(
       static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -870,7 +798,7 @@ void TensorOpService::maybe_launch_upgrade(ShardState& shard,
     // compaction this runs afresh on the NEW base -- the merged
     // structure may bin differently.
     auto [fresh_target, fresh_threshold] =
-        resolve_upgrade_policy(shard, *gen, mode);
+        resolve_upgrade_policy(shard, mode);
     MutexLock lock(slot.m);
     if (!slot.policy_resolved) {
       slot.target_format = std::move(fresh_target);
@@ -909,7 +837,7 @@ void TensorOpService::maybe_launch_upgrade(ShardState& shard,
   // mid-build, run_upgrade detects the swap and releases its charge.
   // Builds are queued per TENANT through the fair scheduler: each shard
   // still gets its own build (K structured builds of nnz/K each overlap
-  // up to max_concurrent_upgrades), but a whale tensor queueing dozens
+  // up to kConcurrentUpgrades), but a whale tensor queueing dozens
   // of shard builds alternates with other tenants instead of
   // monopolizing the pool.  An abandoned job (pool shutdown) re-arms so
   // the state machine stays honest.
@@ -920,8 +848,7 @@ void TensorOpService::maybe_launch_upgrade(ShardState& shard,
   job.abandon = [gen, mode] {
     gen->modes[mode].upgrade_launched.store(false, std::memory_order_release);
   };
-  scheduler_.enqueue(shard.owner != nullptr ? shard.owner->name : "",
-                     std::move(job));
+  scheduler_.enqueue(shard.owner->name, std::move(job));
 }
 
 void TensorOpService::run_upgrade(ShardState& shard, GenerationPtr gen,
@@ -946,8 +873,7 @@ void TensorOpService::run_upgrade(ShardState& shard, GenerationPtr gen,
       upgrade_rejects_.fetch_add(1, std::memory_order_relaxed);
       BCSF_INFO << "TensorOpService: budget rejected " << bytes
                 << "-byte '" << target << "' plan for tenant '"
-                << (shard.owner != nullptr ? shard.owner->name : "?")
-                << "' mode " << mode;
+                << shard.owner->name << "' mode " << mode;
       slot.upgrade_launched.store(false, std::memory_order_release);
       return;
     }
@@ -1072,9 +998,7 @@ std::size_t TensorOpService::evict_candidate(
   slot.upgrade_launched.store(false, std::memory_order_release);
   budget_.release(bytes);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (candidate.state != nullptr) {
-    candidate.state->evictions.fetch_add(1, std::memory_order_relaxed);
-  }
+  candidate.state->evictions.fetch_add(1, std::memory_order_relaxed);
   BCSF_INFO << "TensorOpService: evicted " << bytes << "-byte '" << format
             << "' plan (tenant '" << candidate.tensor << "' shard "
             << candidate.shard << " mode " << candidate.mode << ", heat "
@@ -1163,7 +1087,7 @@ void TensorOpService::run_reclaim() {
 
 void TensorOpService::maybe_launch_compaction(ShardState& shard,
                                               const TensorSnapshot& snap) {
-  if (!opts_.enable_compaction || opts_.compact_threshold <= 0.0) return;
+  if (opts_.compact_threshold <= 0.0) return;
   if (snap.delta_nnz < opts_.compact_min_nnz) return;
   if (snap.delta_fraction() < opts_.compact_threshold) return;
   if (shard.compacting.exchange(true, std::memory_order_acq_rel)) return;
@@ -1206,8 +1130,7 @@ void TensorOpService::run_compaction(ShardState& shard, bool force) {
             new_base, snap.version, std::move(new_base_sketch));
         new_gen = std::make_shared<Generation>(std::move(new_base),
                                                opts_.plan, new_version,
-                                               opts_.build_fn,
-                                               opts_.heat_decay);
+                                               opts_.build_fn);
         old_gen = std::move(shard.gen);
         const std::uint64_t now = tick_.load(std::memory_order_relaxed);
         for (std::size_t m = 0; m < new_gen->modes.size(); ++m) {
@@ -1250,22 +1173,19 @@ void TensorOpService::run_compaction(ShardState& shard, bool force) {
       // slots -- and a mode whose CARRIED traffic already clears its new
       // threshold relaunches its structured build now, instead of
       // waiting for the next request to notice.
-      if (opts_.sketch_policy && opts_.enable_upgrade) {
-        for (std::size_t m = 0; m < new_gen->modes.size(); ++m) {
-          const index_t mode = static_cast<index_t>(m);
-          auto [target, threshold] =
-              resolve_upgrade_policy(shard, *new_gen, mode);
-          {
-            ModeSlot& slot = new_gen->modes[m];
-            MutexLock slot_lock(slot.m);
-            if (!slot.policy_resolved) {
-              slot.target_format = std::move(target);
-              slot.threshold = threshold;
-              slot.policy_resolved = true;
-            }
+      for (std::size_t m = 0; m < new_gen->modes.size(); ++m) {
+        const index_t mode = static_cast<index_t>(m);
+        auto [target, threshold] = resolve_upgrade_policy(shard, mode);
+        {
+          ModeSlot& slot = new_gen->modes[m];
+          MutexLock slot_lock(slot.m);
+          if (!slot.policy_resolved) {
+            slot.target_format = std::move(target);
+            slot.threshold = threshold;
+            slot.policy_resolved = true;
           }
-          maybe_launch_upgrade(shard, new_gen, mode);
         }
+        maybe_launch_upgrade(shard, new_gen, mode);
       }
     }
     shard.compacting.store(false, std::memory_order_release);

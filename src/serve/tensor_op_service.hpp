@@ -1,6 +1,5 @@
 // TensorOpService: the concurrent multi-op serving layer (DESIGN.md
-// §5-§8).  Known as MttkrpService before the op-generic redesign; the
-// alias below keeps that name working.
+// §5-§8).
 //
 // The paper frames format choice as an amortization problem: structured
 // formats (B-CSF / HB-CSF) pay a sort-dominated build that COO does not,
@@ -35,7 +34,10 @@
 //     owned row window of one shared output; no partials, no K-way
 //     reduce); other modes reduce per-shard double partials from pooled
 //     arena buffers -- exact either way, because every op in the
-//     protocol is linear in the tensor values;
+//     protocol is linear in the tensor values.  K = 1 is the one-window
+//     case of the same code: the lone shard owns every output row of
+//     every mode, and each request is its own batch so a batch still
+//     spreads across the pool;
 //   * update batches are SPLIT BY SLICE RANGE and routed to their
 //     shards, so a hot shard accumulates delta, upgrades, and compacts
 //     on its own clock while cold shards stay COO -- the all-or-nothing
@@ -77,6 +79,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,8 +105,8 @@ struct ServeOptions {
   /// Structured target for the background upgrade.  "auto" asks the §V
   /// slice-binning policy per (shard, mode) (the Fig-10 expected-calls
   /// gate is NOT applied -- the observed-traffic threshold below plays
-  /// that role); a COO-family target disables upgrade.  "sharded" is
-  /// rejected: the service shards tensors itself.
+  /// that role); a COO-family target ("coo", "reference") disables
+  /// upgrade.  "sharded" is rejected: the service shards tensors itself.
   std::string upgrade_format = "auto";
   /// Per-(shard, mode) call count that triggers the upgrade -- the
   /// structured build amortizes against that mode's own traffic, matching
@@ -114,25 +117,23 @@ struct ServeOptions {
   /// policy's breakeven_calls for the (shard, mode) -- infinite when
   /// structure never pays, so undersized shards stay COO forever.
   double upgrade_threshold = 0.0;
-  bool enable_upgrade = true;
   /// Per-shard delta fraction (shard delta nnz / shard nnz) at which a
   /// background compaction merges that shard's delta into a new base
   /// snapshot and the upgrade policy re-runs on the merged shard.  The
   /// default keeps the per-query COO sweep at most ~1/4 of each shard.
+  /// <= 0 disables threshold compaction (budget reclaim may still force
+  /// one, DESIGN.md §10).
   double compact_threshold = 0.25;
   /// Compaction also waits for this many delta nonzeros IN THE SHARD, so
   /// tiny shards do not churn through merges worth less than a kernel
   /// launch.
   offset_t compact_min_nnz = 512;
-  bool enable_compaction = true;
-  /// Nnz-balanced shards per registered tensor: 1 = monolithic (the
-  /// pre-§8 behavior, bit for bit), 0 = auto_shard_count prices K from
-  /// the tensor's nnz and device saturation, K = fixed count (clamped so
-  /// every shard is non-empty).
+  /// Nnz-balanced shards per registered tensor, cut along mode 0's slice
+  /// ranges (one partition serves all modes): 0 = auto_shard_count
+  /// prices K from the tensor's nnz and device saturation, K = fixed
+  /// count (clamped so every shard is non-empty).  1 is the one-window
+  /// case: one shard owning every slice.
   unsigned shards = 1;
-  /// Mode whose slice ranges define the shards (and route update
-  /// batches).  One partition serves all modes of a tensor.
-  index_t shard_mode = 0;
   /// Service-wide cap on STRUCTURED-PLAN storage_bytes across every
   /// tenant (DESIGN.md §10); 0 = unlimited.  Enforced by pre-charge
   /// admission at build completion -- a finished build is installed only
@@ -141,24 +142,6 @@ struct ServeOptions {
   /// against the same number via the background reclaimer (eviction,
   /// then forced compaction) but are not pre-charged.
   std::size_t storage_budget_bytes = 0;
-  /// Per-tick decay factor in (0, 1] for the per-(shard, mode) heat
-  /// counters driving eviction order; one tick = one shard-handled
-  /// request anywhere in the service.  1 disables decay (pure call
-  /// counting).
-  double heat_decay = 0.5;
-  /// Structured builds admitted to the pool at once, drawn round-robin
-  /// across tenants by the fair upgrade scheduler -- a whale tensor
-  /// queueing many shard builds cannot starve other tenants' upgrades.
-  /// 0 = one per worker.
-  unsigned max_concurrent_upgrades = 2;
-  /// Sketch-backed planning (DESIGN.md §12): the upgrade policy, shard
-  /// pricing, and partition cut placement read the streaming structural
-  /// sketches DynamicSparseTensor maintains -- O(S) per decision, zero
-  /// O(nnz) rescans after registration -- and every compaction commit
-  /// re-runs the format decision from the merged base's fresh sketch.
-  /// False restores the exact sort+scan paths (the validation oracle the
-  /// parity tests compare against).
-  bool sketch_policy = true;
   /// Plan factory used by every generation's cache; tests inject
   /// counting/failing builders.  Default: FormatRegistry create.
   ConcurrentPlanCache::BuildFn build_fn;
@@ -172,9 +155,7 @@ using FactorsPtr = std::shared_ptr<const std::vector<DenseMatrix>>;
 /// FIT column weights, shared the same way.  Null = all ones.
 using LambdaPtr = std::shared_ptr<const std::vector<value_t>>;
 
-/// One serve-layer operation.  The constructor's leading parameters
-/// predate the op protocol, so MTTKRP-era initializers `{tensor, mode,
-/// factors}` keep meaning what they always did.
+/// One serve-layer operation.  `{tensor, mode, factors}` is an MTTKRP.
 struct ServeRequest {
   ServeRequest() = default;
   ServeRequest(std::string tensor_name, index_t target_mode,
@@ -194,6 +175,16 @@ struct ServeRequest {
   LambdaPtr lambda;  ///< FIT weights; ignored by the other ops
 };
 
+/// How a response's per-shard contributions were combined.
+enum class ReducePath {
+  kSingle,    ///< one shard: nothing to combine
+  kDisjoint,  ///< each shard wrote its owned row window of the shared
+              ///< output (partition-mode matrix ops, unsplit partition)
+  kMerge,     ///< per-shard double partials K-way reduced with one cast
+};
+/// "single", "disjoint" or "merge".
+const char* reduce_path_name(ReducePath path);
+
 struct ServeResponse {
   /// MTTKRP: dims[mode] x R.  TTV: dims[mode] x 1.  FIT: empty.
   /// STATS: an (order + 1) x 8 summary answered from sketches -- row m
@@ -202,15 +193,14 @@ struct ServeResponse {
   /// stddev nnz/slice, max slice nnz] for mode m; the final row holds
   /// [est. ||X||^2, norm error bound, delta nnz, base nnz, 0, 0, 0, 0].
   DenseMatrix output;
-  SimReport report;
   /// Format(s) that executed the BASE contribution ("auto" never leaks:
   /// resolved key).  With several shards serving different formats this
   /// is "mixed"; the delta contribution, when present, is always a COO
   /// sweep.
   std::string served_format;
-  /// The base plan of shard 0 (the only shard pre-§8).  Holding it is
-  /// safe after the service dies (it pins its snapshot); comparing
-  /// pointers across responses observes the async upgrade swap.
+  /// The base plan of shard 0.  Holding it is safe after the service
+  /// dies (it pins its snapshot); comparing pointers across responses
+  /// observes the async upgrade swap.
   SharedPlan plan;
   std::uint64_t sequence = 0;  ///< 1-based per-tensor call number
   /// True once EVERY shard served this response from its structured
@@ -233,12 +223,8 @@ struct ServeResponse {
   /// coalesced tensor (sum of squared stored values; off by at most the
   /// final output row's error bound).  0 for matrix-valued ops.
   double scalar = 0.0;
-  /// How the per-shard contributions were combined into `output`:
-  /// "single" (one shard, nothing to combine), "disjoint" (each shard
-  /// wrote its owned row window of the shared output directly --
-  /// partition-mode matrix ops on an unsplit partition), or "merge"
-  /// (per-shard double partials K-way reduced with one cast).
-  std::string reduce_path = "single";
+  /// How the per-shard contributions were combined into `output`.
+  ReducePath reduce_path = ReducePath::kSingle;
   /// Wall ms from the FIRST shard task starting on this request until
   /// the LAST shard finished its contribution (kernel + delta sweep
   /// across the fan-out).  Pool queue wait ahead of the batch is
@@ -252,10 +238,6 @@ struct ServeResponse {
   double reduce_ms = 0.0;
 };
 
-/// Back-compat aliases from the MTTKRP-only era.
-using MttkrpRequest = ServeRequest;
-using MttkrpResponse = ServeResponse;
-
 class TensorOpService {
  public:
   explicit TensorOpService(ServeOptions opts = {});
@@ -268,9 +250,9 @@ class TensorOpService {
 
   /// Registers a tensor under a unique name, cutting it into the
   /// configured number of nnz-balanced shards (ServeOptions::shards)
-  /// along ServeOptions::shard_mode.  No plan is built here -- the first
-  /// request pays only the (free) per-shard COO plan construction.  Each
-  /// shard becomes snapshot version 0 of its own DynamicSparseTensor.
+  /// along mode 0.  No plan is built here -- the first request pays only
+  /// the (free) per-shard COO plan construction.  Each shard becomes
+  /// snapshot version 0 of its own DynamicSparseTensor.
   void register_tensor(const std::string& name, TensorPtr tensor);
   bool has_tensor(const std::string& name) const;
 
@@ -340,8 +322,7 @@ class TensorOpService {
   };
   std::vector<ShardStatus> shard_status(const std::string& tensor,
                                         index_t mode) const;
-  /// Shard that updates with this root-mode (shard_mode) coordinate are
-  /// routed to.
+  /// Shard that updates with this mode-0 coordinate are routed to.
   std::size_t shard_for_slice(const std::string& tensor, index_t slice) const;
 
   // -- Budget & tenant observability (DESIGN.md §10) ------------------
@@ -377,9 +358,8 @@ class TensorOpService {
     return policy_resolutions_.load(std::memory_order_relaxed);
   }
   /// Wall seconds spent inside those resolutions -- the planning-latency
-  /// numerator of bench serve_throughput's policy_ms column.  With
-  /// ServeOptions::sketch_policy this stays flat in nnz (O(S) reads);
-  /// the exact path scales O(nnz log nnz) per decision.
+  /// numerator of bench serve_throughput's policy_ms column.  Flat in
+  /// nnz: every resolution reads the shard's streaming sketch (O(S)).
   double policy_seconds() const {
     return static_cast<double>(policy_ns_.load(std::memory_order_relaxed)) *
            1e-9;
@@ -474,31 +454,34 @@ class TensorOpService {
   /// in-flight queries and upgrade tasks.
   struct Generation {
     Generation(TensorPtr base, PlanOptions plan_opts,
-               std::uint64_t base_version, ConcurrentPlanCache::BuildFn build,
-               double heat_decay)
+               std::uint64_t base_version, ConcurrentPlanCache::BuildFn build)
         : cache(std::move(base), std::move(plan_opts), std::move(build),
-                base_version, heat_decay),
+                base_version),
           modes(cache.tensor()->order()) {}
     ConcurrentPlanCache cache;
     std::vector<ModeSlot> modes;
   };
   using GenerationPtr = std::shared_ptr<Generation>;
 
-  /// One shard's full serving state: the pre-§8 per-tensor state at
-  /// shard granularity.  Shards never share mutable state, which is what
-  /// makes their upgrades and compactions independent.
+  /// Mode whose slice ranges define the shards and route update batches.
+  static constexpr index_t kPartitionMode = 0;
+
+  /// One shard's full serving state.  Shards never share mutable state,
+  /// which is what makes their upgrades and compactions independent.
   struct TensorState;
 
   struct ShardState {
-    ShardState(TensorPtr base, PlanOptions plan_opts, index_t begin,
-               index_t end, ConcurrentPlanCache::BuildFn build,
-               double heat_decay)
+    ShardState(TensorState* owner_state, std::size_t position, TensorPtr base,
+               PlanOptions plan_opts, index_t begin, index_t end,
+               ConcurrentPlanCache::BuildFn build)
         : slice_begin(begin),
           slice_end(end),
           dynamic(base),
           gen(std::make_shared<Generation>(std::move(base),
                                            std::move(plan_opts), 0,
-                                           std::move(build), heat_decay)) {}
+                                           std::move(build))),
+          owner(owner_state),
+          index(position) {}
     const index_t slice_begin;  ///< root-mode slice range (see partitioner)
     const index_t slice_end;
     DynamicSparseTensor dynamic;
@@ -513,27 +496,24 @@ class TensorOpService {
     std::atomic<std::uint64_t> compactions{0};
     /// Owning tensor (stable address: TensorState is held by unique_ptr
     /// and never erased) -- gives shard-level code the tenant identity
-    /// for fairness keys and per-tenant counters.  Set by
-    /// register_tensor before publication.
-    TensorState* owner = nullptr;
-    std::size_t index = 0;  ///< position in owner->shards
+    /// for fairness keys, per-tenant counters and row ownership.
+    TensorState* const owner;
+    const std::size_t index;  ///< position in owner->shards
   };
 
   struct TensorState {
     std::string name;  ///< registration name (the tenant identity)
     std::vector<index_t> dims;
-    index_t partition_mode = 0;
     /// shards[s]'s slice_begin, ascending -- the routing table
     /// (partitioner's shard_for_slice rule over frozen ranges).
     std::vector<index_t> route_begin;
     /// True when the partition's slice ranges are pairwise disjoint (no
     /// heavy slice split): partition-mode matrix ops take the
-    /// disjoint-output path.  Always false for single-shard tensors
-    /// (they have nothing to combine at all).
+    /// disjoint-output path.
     bool disjoint = false;
     /// K+1 output-row ownership table (partitioner's owned_row_begins):
     /// shard s owns partition-mode output rows [owned_begin[s],
-    /// owned_begin[s+1]).  Populated only when `disjoint`.
+    /// owned_begin[s+1]).  Populated only when `disjoint` and K > 1.
     std::vector<index_t> owned_begin;
     // unique_ptr: ShardState holds mutexes/atomics (immovable) and worker
     // tasks hold ShardState& across generations.
@@ -546,13 +526,16 @@ class TensorOpService {
     /// Budget evictions this tenant has suffered.
     std::atomic<std::uint64_t> evictions{0};
     index_t order() const { return static_cast<index_t>(dims.size()); }
-  };
-
-  /// How handle_shard materializes a shard's contribution.
-  enum class ShardPath {
-    kSingle,    ///< one-shard tensor: finished float result (pre-§8 bits)
-    kMerge,     ///< double partial in an arena buffer, K-way reduced
-    kDisjoint,  ///< float rows written straight into the shared output
+    /// Output rows [first, second) of `mode` that shard s writes on the
+    /// disjoint-output path, or nullopt when `mode` takes the merge path.
+    /// The lone shard of a one-shard tensor owns every row of every mode.
+    std::optional<std::pair<index_t, index_t>> owned_rows(
+        std::size_t s, index_t mode) const {
+      using Window = std::pair<index_t, index_t>;
+      if (shards.size() == 1) return Window{0, dims[mode]};
+      if (!disjoint || mode != kPartitionMode) return std::nullopt;
+      return Window{owned_begin[s], owned_begin[s + 1]};
+    }
   };
 
   /// One shard's contribution to a response, produced by handle_shard.
@@ -562,11 +545,7 @@ class TensorOpService {
     bool upgraded = false;
     std::uint64_t snapshot_version = 0;
     offset_t delta_nnz = 0;
-    SimReport report;
-    /// kSingle: the finished float result (identical arithmetic to the
-    /// pre-§8 service).
-    OpResult result;
-    /// kMerge (matrix ops): double partial = plan output promoted +
+    /// Merge path (matrix ops): double partial = plan output promoted +
     /// delta terms, reduced across shards with ONE cast.  Held as an
     /// arena LEASE, not a raw buffer: the partial returns to the pool
     /// when the ShardRun dies -- including the failure paths (a sibling
@@ -586,8 +565,8 @@ class TensorOpService {
     std::promise<ServeResponse> promise;
     bool disjoint = false;  ///< takes the disjoint-output path
     /// Preallocated shared output for the disjoint path; shard s writes
-    /// rows [owned_begin[s], owned_begin[s+1]) and nobody else touches
-    /// them (TSan-checked in the race suites).
+    /// its owned_rows window and nobody else touches those rows
+    /// (TSan-checked in the race suites).
     DenseMatrix output;
     /// Stamped by the FIRST shard task to reach this item (exchange
     /// winner); fanout_ms measures from here so pool queue wait ahead
@@ -603,30 +582,29 @@ class TensorOpService {
   using BatchPtr = std::shared_ptr<std::vector<std::unique_ptr<BatchItem>>>;
 
   TensorState& state_for(const std::string& name) const;
-  std::size_t route_slice(const TensorState& state, index_t slice) const;
-  ServeResponse handle(TensorState& state, const ServeRequest& request);
   /// Answers a kStats request by merging the shards' sketches -- O(S +
   /// registers) per shard, never a nonzero touched, no plan, no fan-out.
   ServeResponse handle_stats(TensorState& state, const ServeRequest& request);
   /// Runs one shard's (capture, count, execute, delta-sweep) sequence.
-  /// kDisjoint additionally needs the shared output and the shard's
-  /// owned row window; the other paths ignore those arguments.
+  /// A non-null `shared_out` selects the disjoint-output path: the shard
+  /// writes its owned_rows window there.  Otherwise the matrix result is
+  /// a double partial in ShardRun::acc (the merge path).
   ShardRun handle_shard(ShardState& shard, const ServeRequest& request,
-                        ShardPath path, DenseMatrix* shared_out,
-                        index_t row_begin, index_t row_end);
+                        DenseMatrix* shared_out);
   /// Submits K (shard, batch) tasks -- one per shard with affinity hint
-  /// s, each sweeping the WHOLE batch for its shard.
+  /// s, each sweeping the WHOLE batch for its shard (K = 1: one unhinted
+  /// task).
   void dispatch_sharded(TensorState& state, const BatchPtr& items);
   /// Called by the last shard task to finish `item`: reduce + fulfill.
   void finalize_item(TensorState& state, BatchItem& item);
   ServeResponse reduce_item(TensorState& state, BatchItem& item);
-  /// Computes (target format, threshold) for a mode of one generation's
-  /// base; runs the §V policy when the options defer to it -- from the
-  /// shard's streaming base sketch (O(S)) under ServeOptions::
-  /// sketch_policy, else from an O(nnz log nnz) scan of the base.
+  /// Computes (target format, threshold) for a mode of the shard's
+  /// current base; runs the §V policy when the options defer to it, from
+  /// the shard's streaming base sketch (O(S)).  An empty target means
+  /// never upgrade; a COO-family upgrade_format returns that at once.
   /// Called with NO lock held; wall time feeds policy_seconds().
   std::pair<std::string, double> resolve_upgrade_policy(
-      const ShardState& shard, const Generation& gen, index_t mode) const;
+      const ShardState& shard, index_t mode) const;
   void maybe_launch_upgrade(ShardState& shard, const GenerationPtr& gen,
                             index_t mode);
   void maybe_launch_compaction(ShardState& shard, const TensorSnapshot& snap);
@@ -718,9 +696,5 @@ class TensorOpService {
   // states their tasks reference go away.
   ThreadPool pool_;
 };
-
-/// Back-compat alias from the MTTKRP-only era; new code should say
-/// TensorOpService.
-using MttkrpService = TensorOpService;
 
 }  // namespace bcsf

@@ -148,7 +148,7 @@ class DynamicSparseTensor {
   /// merged() of a snapshot taken at `upto_version`).  Chunks applied
   /// after that snapshot are retained on top of the new base.  Returns
   /// the new version.  This is the compaction commit point; the caller
-  /// (e.g. MttkrpService) does the merge off-line and swaps here.
+  /// (e.g. TensorOpService) does the merge off-line and swaps here.
   ///
   /// The first overload rebuilds the base sketch inline -- an O(nnz) pass
   /// under the lock, fine for offline callers.  The serving path uses the

@@ -94,13 +94,13 @@ class SparseTensor {
 
 /// Shared-ownership handle to an immutable tensor.  This is the currency
 /// of every layer that retains tensors past a call (DynamicSparseTensor
-/// snapshots, ConcurrentPlanCache, MttkrpService): COO-family plans
+/// snapshots, ConcurrentPlanCache, TensorOpService): COO-family plans
 /// reference their source tensor instead of copying it, so shared
 /// ownership is what makes "retain a plan, drop the tensor" safe.
 using TensorPtr = std::shared_ptr<const SparseTensor>;
 
 /// Moves a tensor onto the heap under shared ownership (the normal way to
-/// feed DynamicSparseTensor / ConcurrentPlanCache / MttkrpService).
+/// feed DynamicSparseTensor / ConcurrentPlanCache / TensorOpService).
 TensorPtr share_tensor(SparseTensor&& tensor);
 
 /// Non-owning view of a caller-owned tensor (aliasing shared_ptr with no

@@ -50,16 +50,17 @@ ConcurrentPlanCache::BuildFn counting_build_fn(
 }
 
 /// The oracle configuration: one worker, one shard, a concrete upgrade
-/// target, threshold 2, decay 1/2 -- every quantity below is exactly
+/// target, threshold 2, heat decay 1/2 -- every quantity below is exactly
 /// computable from the request sequence.
+static_assert(ConcurrentPlanCache::kHeatDecay == 0.5,
+              "the eviction oracle's heat values assume decay 1/2");
 ServeOptions oracle_options() {
   ServeOptions opts;
   opts.workers = 1;
   opts.shards = 1;
   opts.upgrade_format = "bcsf";
   opts.upgrade_threshold = 2;
-  opts.heat_decay = 0.5;
-  opts.enable_compaction = false;
+  opts.compact_threshold = 0;
   return opts;
 }
 
@@ -117,8 +118,8 @@ TEST(BudgetEviction, HeatOracleEvictsColdestAndAnswersStayBitwise) {
   // fallback may never change a single bit.
   ServeOptions ref_opts;
   ref_opts.workers = 1;
-  ref_opts.enable_upgrade = false;
-  ref_opts.enable_compaction = false;
+  ref_opts.upgrade_format = "coo";
+  ref_opts.compact_threshold = 0;
   TensorOpService reference(ref_opts);
   reference.register_tensor("ref", share_tensor(SparseTensor(tensor)));
   const DenseMatrix expected =
@@ -205,8 +206,8 @@ TEST(BudgetEviction, ConcurrentThresholdCrossingBuildsOnce) {
   std::atomic<int> mismatches{0};
   ServeOptions ref_opts;
   ref_opts.workers = 1;
-  ref_opts.enable_upgrade = false;
-  ref_opts.enable_compaction = false;
+  ref_opts.upgrade_format = "coo";
+  ref_opts.compact_threshold = 0;
   TensorOpService reference(ref_opts);
   reference.register_tensor("ref", share_tensor(SparseTensor(tensor)));
   const DenseMatrix expected =
@@ -250,8 +251,7 @@ TEST(BudgetEviction, ChaosRespectsBudgetAndBitwiseAnswers) {
   opts.shards = 2;
   opts.upgrade_format = "bcsf";
   opts.upgrade_threshold = 1;
-  opts.heat_decay = 0.5;
-  opts.enable_compaction = false;
+  opts.compact_threshold = 0;
 
   // Budget: ~the residency of one fully-upgraded tenant mode, so the 18
   // (tenant, mode) slot groups must fight over it.
@@ -278,8 +278,8 @@ TEST(BudgetEviction, ChaosRespectsBudgetAndBitwiseAnswers) {
   // never-upgrading service.
   ServeOptions ref_opts;
   ref_opts.workers = 1;
-  ref_opts.enable_upgrade = false;
-  ref_opts.enable_compaction = false;
+  ref_opts.upgrade_format = "coo";
+  ref_opts.compact_threshold = 0;
   TensorOpService reference(ref_opts);
   std::vector<std::vector<DenseMatrix>> expected(kTenants);
   for (int t = 0; t < kTenants; ++t) {
@@ -339,8 +339,7 @@ TEST(BudgetEviction, ReclaimForceCompactsDeltaOverBudget) {
   ServeOptions opts;
   opts.workers = 2;
   opts.shards = 2;
-  opts.enable_upgrade = false;
-  opts.enable_compaction = true;
+  opts.upgrade_format = "coo";
   // Organic compaction can never fire: the force path is the only way
   // these thresholds are ever crossed.
   opts.compact_threshold = 0.95;
@@ -351,8 +350,8 @@ TEST(BudgetEviction, ReclaimForceCompactsDeltaOverBudget) {
 
   ServeOptions ref_opts;
   ref_opts.workers = 1;
-  ref_opts.enable_upgrade = false;
-  ref_opts.enable_compaction = false;
+  ref_opts.upgrade_format = "coo";
+  ref_opts.compact_threshold = 0;
   TensorOpService reference(ref_opts);
   reference.register_tensor("ref", share_tensor(SparseTensor(tensor)));
 

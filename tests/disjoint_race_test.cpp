@@ -10,7 +10,7 @@
 //     pool (shared scratch arena, shared inner plans, per-call shared
 //     outputs);
 //   * serving layer: partition-mode requests taking the disjoint path
-//     (reduce_path == "disjoint") racing non-partition-mode merges,
+//     (ReducePath::kDisjoint) racing non-partition-mode merges,
 //     FIT scalars, and shard-routed updates.
 //
 // Values ride the power-of-two grid of serve_test_util.hpp, so every
@@ -88,7 +88,7 @@ TEST(DisjointRace, ServeReportsReducePathAndOverheadTimings) {
   ServeOptions opts;
   opts.workers = 4;
   opts.shards = 4;
-  opts.enable_upgrade = false;
+  opts.upgrade_format = "coo";
   opts.plan.device = DeviceModel::tiny();
   TensorOpService service(opts);
   service.register_tensor("t", share_tensor(SparseTensor(x)));
@@ -120,7 +120,8 @@ TEST(DisjointRace, ServeReportsReducePathAndOverheadTimings) {
     EXPECT_EQ(r.shards, 4u);
     // Partition-mode matrix ops skip the reduce; everything else merges.
     const bool disjoint = mode == 0 && op != OpKind::kFit;
-    EXPECT_EQ(r.reduce_path, disjoint ? "disjoint" : "merge");
+    EXPECT_EQ(r.reduce_path,
+              disjoint ? ReducePath::kDisjoint : ReducePath::kMerge);
     EXPECT_GE(r.fanout_ms, 0.0);
     EXPECT_GE(r.reduce_ms, 0.0);
     switch (op) {
@@ -140,8 +141,8 @@ TEST(DisjointRace, ServeReportsReducePathAndOverheadTimings) {
     }
   }
 
-  // A monolithic tensor never fans out: its one-shard fast path reports
-  // "single" and zero reduce time by construction.
+  // A one-shard tensor never fans out: it reports kSingle and zero
+  // fan-out and reduce time by construction.
   ServeOptions mono = opts;
   mono.shards = 1;
   TensorOpService single(mono);
@@ -149,7 +150,9 @@ TEST(DisjointRace, ServeReportsReducePathAndOverheadTimings) {
   ServeRequest req = make(0, OpKind::kMttkrp);
   req.tensor = "t";
   const ServeResponse r = single.submit(std::move(req)).get();
-  EXPECT_EQ(r.reduce_path, "single");
+  EXPECT_EQ(r.reduce_path, ReducePath::kSingle);
+  EXPECT_EQ(r.fanout_ms, 0.0);
+  EXPECT_EQ(r.reduce_ms, 0.0);
   EXPECT_TRUE(bitwise_equal(mttkrp_reference(x, 0, *factors), r.output));
 }
 
@@ -193,7 +196,8 @@ TEST(DisjointRace, RacingDisjointQueriesUpdatesAndMerges) {
       const index_t mode = tid % 2 == 0 ? 0 : 1;
       for (int i = 0; i < 10; ++i) {
         const ServeResponse r = service.submit(make(mode)).get();
-        const char* want = mode == 0 ? "disjoint" : "merge";
+        const ReducePath want =
+            mode == 0 ? ReducePath::kDisjoint : ReducePath::kMerge;
         if (r.reduce_path != want) bad = true;
         if (r.output.rows() != dims[mode] || r.output.cols() != 4) bad = true;
       }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -136,16 +137,30 @@ TEST(DynamicSparseTensor, DeltaAccumulateMatchesMergedReference) {
   for (index_t mode = 0; mode < merged.order(); ++mode) {
     SCOPED_TRACE("mode " + std::to_string(mode));
     const DenseMatrix expected = mttkrp_reference(merged, mode, factors);
-    // Batch overload (what the service uses: one promote/demote over all
-    // chunks) and per-chunk chaining must both land within tolerance.
-    DenseMatrix composed = mttkrp_reference(*snap.base, mode, factors);
-    mttkrp_delta_accumulate(snap.deltas, mode, factors, composed);
+    // Promote the base result once, sweep, cast back once -- what the
+    // service does.  One call over every chunk and per-chunk chaining
+    // must both land within tolerance.
+    const DenseMatrix base = mttkrp_reference(*snap.base, mode, factors);
+    const auto sweep_and_cast = [&](bool per_chunk) {
+      std::vector<double> acc(base.data().begin(), base.data().end());
+      if (per_chunk) {
+        for (const TensorPtr& chunk : snap.deltas) {
+          mttkrp_delta_accumulate(std::span<const TensorPtr>(&chunk, 1), mode,
+                                  factors, std::span<double>(acc));
+        }
+      } else {
+        mttkrp_delta_accumulate(snap.deltas, mode, factors,
+                                std::span<double>(acc));
+      }
+      DenseMatrix out(base.rows(), base.cols());
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        out.data()[i] = static_cast<value_t>(acc[i]);
+      }
+      return out;
+    };
+    const DenseMatrix composed = sweep_and_cast(/*per_chunk=*/false);
     EXPECT_LT(expected.max_abs_diff(composed), 1e-4 * ref_scale(expected));
-
-    DenseMatrix chained = mttkrp_reference(*snap.base, mode, factors);
-    for (const TensorPtr& chunk : snap.deltas) {
-      mttkrp_delta_accumulate(*chunk, mode, factors, chained);
-    }
+    const DenseMatrix chained = sweep_and_cast(/*per_chunk=*/true);
     EXPECT_LT(expected.max_abs_diff(chained), 1e-4 * ref_scale(expected));
   }
 }
@@ -155,15 +170,24 @@ TEST(DynamicSparseTensor, DeltaAccumulateValidatesShapes) {
   const auto factors = make_random_factors(dims, 4, 1);
   SparseTensor delta(dims);
   delta.push_back(std::vector<index_t>{1, 2, 3}, 1.0F);
+  const TensorPtr chunk = share_tensor(std::move(delta));
+  const std::span<const TensorPtr> chunks(&chunk, 1);
 
-  DenseMatrix ok(6, 4);
-  mttkrp_delta_accumulate(delta, 0, factors, ok);  // fits: no throw
+  // The accumulator must be dims[mode] x R (6 x 4 for mode 0).
+  std::vector<double> ok(6 * 4);
+  mttkrp_delta_accumulate(chunks, 0, factors, std::span<double>(ok));
 
-  DenseMatrix wrong_rows(5, 4);
-  EXPECT_THROW(mttkrp_delta_accumulate(delta, 0, factors, wrong_rows), Error);
-  DenseMatrix wrong_rank(6, 3);
-  EXPECT_THROW(mttkrp_delta_accumulate(delta, 0, factors, wrong_rank), Error);
-  EXPECT_THROW(mttkrp_delta_accumulate(delta, 3, factors, ok), Error);
+  std::vector<double> wrong_rows(5 * 4);
+  EXPECT_THROW(mttkrp_delta_accumulate(chunks, 0, factors,
+                                       std::span<double>(wrong_rows)),
+               Error);
+  std::vector<double> wrong_rank(6 * 3);
+  EXPECT_THROW(mttkrp_delta_accumulate(chunks, 0, factors,
+                                       std::span<double>(wrong_rank)),
+               Error);
+  EXPECT_THROW(
+      mttkrp_delta_accumulate(chunks, 3, factors, std::span<double>(ok)),
+      Error);
 }
 
 }  // namespace

@@ -53,9 +53,8 @@ ServeOptions replay_serve_options() {
   ServeOptions opts;
   opts.workers = 3;
   opts.shards = 2;
-  opts.enable_upgrade = true;
   opts.upgrade_threshold = 2;
-  opts.enable_compaction = false;
+  opts.compact_threshold = 0;
   return opts;
 }
 

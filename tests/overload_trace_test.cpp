@@ -70,8 +70,8 @@ ServeOptions overload_serve_options() {
   ServeOptions opts;
   opts.workers = 1;
   opts.shards = 1;
-  opts.enable_upgrade = false;
-  opts.enable_compaction = false;
+  opts.upgrade_format = "coo";
+  opts.compact_threshold = 0;
   return opts;
 }
 

@@ -1,4 +1,4 @@
-// FormatRegistry / MttkrpPlan / PlanCache contract tests, plus the
+// FormatRegistry / TensorOpPlan / PlanCache contract tests, plus the
 // `auto` selection policy: §V slice binning and the Fig-10 break-even
 // gate must pick HB-CSF on a large high-stddev mixed tensor and COO on a
 // tensor too small to amortize any build.

@@ -9,17 +9,22 @@
 //     of partially dispatched batches);
 //   * fanout_ms must measure the fan-out (first shard task start to last
 //     shard finish), not pool queue wait ahead of the batch (it used to
-//     be dispatch-relative, so a busy pool inflated it).
+//     be dispatch-relative, so a busy pool inflated it);
+//   * a one-shard tensor's batch must still spread across the pool
+//     (each request is its own group), not run serially in one task.
 //
-// The first and third tests need misbehaving plans, so the file
-// registers two test-only formats: one that throws in execute() on
-// shards containing mode-0 slice 0, one that sleeps in execute().
+// All but the second test need misbehaving plans, so the file registers
+// three test-only formats: one that throws in execute() on shards
+// containing mode-0 slice 0, one that sleeps in execute(), and one
+// whose execute() waits until kLatchCount executions are in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -112,7 +117,7 @@ TEST(ServeBugs, MergePathLeasesReturnWhenAShardThrows) {
   opts.shards = 4;
   opts.upgrade_format = "flaky-serve-test";
   opts.upgrade_threshold = 1;
-  opts.enable_compaction = false;
+  opts.compact_threshold = 0;
   TensorOpService service(opts);
 
   const std::vector<index_t> dims{64, 32, 16};
@@ -126,7 +131,7 @@ TEST(ServeBugs, MergePathLeasesReturnWhenAShardThrows) {
   // query serves COO and crosses the threshold, launching the flaky
   // upgrade on every shard.
   ServeResponse primed = service.submit({"t", 1, factors}).get();
-  EXPECT_EQ(primed.reduce_path, "merge");
+  EXPECT_EQ(primed.reduce_path, ReducePath::kMerge);
   service.wait_idle();
   ASSERT_TRUE(service.upgraded("t", 1));
   const std::size_t pooled = service.scratch_pooled();
@@ -154,15 +159,15 @@ TEST(ServeBugs, MergePathLeasesReturnWhenAShardThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeBugs, SubmitRacingShutdownResolvesEveryFuture) {
-  // Alternate shard counts so both the monolithic packaged-task path and
-  // the sharded dispatch path race the drain.
+  // Alternate shard counts so both the one-task-per-request groups of a
+  // one-shard tensor and the K-task sharded groups race the drain.
   for (const unsigned shards : {1u, 2u, 1u, 2u}) {
     SCOPED_TRACE(shards);
     ServeOptions opts;
     opts.workers = 2;
     opts.shards = shards;
-    opts.enable_upgrade = false;
-    opts.enable_compaction = false;
+    opts.upgrade_format = "coo";
+    opts.compact_threshold = 0;
     TensorOpService service(opts);
 
     const std::vector<index_t> dims{32, 24, 16};
@@ -216,7 +221,7 @@ TEST(ServeBugs, FanoutExcludesQueueWaitAheadOfTheBatch) {
   opts.shards = 2;
   opts.upgrade_format = "sleepy-serve-test";
   opts.upgrade_threshold = 1;
-  opts.enable_compaction = false;
+  opts.compact_threshold = 0;
   TensorOpService service(opts);
 
   const std::vector<index_t> dims{32, 24, 16};
@@ -253,6 +258,83 @@ TEST(ServeBugs, FanoutExcludesQueueWaitAheadOfTheBatch) {
       << "fanout_ms is billing pool queue wait again";
   // The gate request's fan-out legitimately spans its two sleeps.
   EXPECT_GE(gate.fanout_ms, 2 * kSleepMs * 0.8);
+}
+
+// ---------------------------------------------------------------------------
+// Bug 4: a one-shard batch must not serialize on one worker.
+// ---------------------------------------------------------------------------
+
+constexpr int kLatchCount = 4;
+
+/// The latch format's shared state.  Armed only for the batch under
+/// test, so the priming request and the upgrade build pass straight
+/// through.
+struct LatchState {
+  std::mutex m;
+  std::condition_variable cv;
+  bool armed = false;
+  int arrived = 0;
+  bool timed_out = false;
+};
+LatchState latch;
+
+/// Waits in execute() until kLatchCount executions are in flight at
+/// once.  Serialized executions can never all arrive: the first waits
+/// out the timeout and the rest pass through, so the failure is
+/// deterministic rather than a timing threshold.
+FormatRegistrar latch_registrar{{
+    "latch-serve-test", "LatchServeTest",
+    "test-only: execute() waits until kLatchCount executions are in flight",
+    PlanKind::kCpu, true,
+    hooked_factory("latch-serve-test", [](bool) {
+      std::unique_lock<std::mutex> lock(latch.m);
+      if (!latch.armed || latch.timed_out) return;
+      ++latch.arrived;
+      latch.cv.notify_all();
+      if (!latch.cv.wait_for(lock, std::chrono::seconds(5), [] {
+            return latch.arrived >= kLatchCount;
+          })) {
+        latch.timed_out = true;
+      }
+    })}};
+
+TEST(ServeBugs, OneShardBatchRunsItsRequestsInParallel) {
+  ServeOptions opts;
+  opts.workers = kLatchCount;
+  opts.shards = 1;
+  opts.upgrade_format = "latch-serve-test";
+  opts.upgrade_threshold = 1;
+  opts.compact_threshold = 0;
+  TensorOpService service(opts);
+
+  const std::vector<index_t> dims{32, 24, 16};
+  service.register_tensor(
+      "t", share_tensor(serve_test::exact_tensor(dims, 1200, 41)));
+  const auto factors = serve_test::exact_factors(dims, 4, 42);
+
+  // The priming request serves COO and lands the latch plan.
+  const ServeResponse primed = service.submit({"t", 0, factors}).get();
+  service.wait_idle();
+  ASSERT_TRUE(service.upgraded("t", 0));
+
+  {
+    std::lock_guard<std::mutex> lock(latch.m);
+    latch.armed = true;
+  }
+  auto futures = service.submit_batch(
+      std::vector<ServeRequest>(kLatchCount, ServeRequest{"t", 0, factors}));
+  for (auto& future : futures) {
+    const ServeResponse r = future.get();
+    EXPECT_TRUE(r.upgraded);
+    EXPECT_EQ(r.shards, 1u);
+    EXPECT_EQ(r.reduce_path, ReducePath::kSingle);
+    EXPECT_TRUE(serve_test::bitwise_equal(primed.output, r.output));
+  }
+
+  std::lock_guard<std::mutex> lock(latch.m);
+  EXPECT_FALSE(latch.timed_out) << "the one-shard batch ran serially";
+  EXPECT_EQ(latch.arrived, kLatchCount);
+  latch.armed = false;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Property suite for MttkrpService (DESIGN.md §5): random batched
+// Property suite for TensorOpService (DESIGN.md §5): random batched
 // workloads -- random shapes, formats, modes, worker counts, and upgrade
 // thresholds -- flow through the service, and EVERY response must match
 // the sequential mttkrp_reference for its (mode, factors), including
@@ -67,24 +67,24 @@ TEST(MttkrpService, AsyncUpgradeSwapsPlanWhileResultsStayCorrect) {
   opts.initial_format = "coo";
   opts.upgrade_format = "bcsf";
   opts.upgrade_threshold = 8;  // break-even crossed inside wave 1
-  MttkrpService service(opts);
+  TensorOpService service(opts);
   service.register_tensor("t", share_tensor(std::move(x)));
   EXPECT_EQ(service.current_format("t", mode), "coo");
 
   const DenseMatrix& ref = refs.by_factors[0][mode];
   const double tol = 1e-4 * ref_scale(ref);
-  std::set<const MttkrpPlan*> identities;
+  std::set<const TensorOpPlan*> identities;
   std::set<std::string> formats;
   int checked = 0;
   // Three waves with drain points so the background upgrade task (queued
   // FIFO behind wave-1 requests) gets scheduled between waves; wave 2
   // typically straddles the swap, wave 3 is fully post-swap.
   auto run_wave = [&](int n) {
-    std::vector<MttkrpRequest> batch(
+    std::vector<ServeRequest> batch(
         static_cast<std::size_t>(n),
-        MttkrpRequest{"t", mode, refs.factor_sets[0]});
+        ServeRequest{"t", mode, refs.factor_sets[0]});
     for (auto& future : service.submit_batch(std::move(batch))) {
-      MttkrpResponse r = future.get();
+      ServeResponse r = future.get();
       identities.insert(r.plan.get());
       formats.insert(r.served_format);
       EXPECT_LT(ref.max_abs_diff(r.output), tol)
@@ -139,13 +139,13 @@ TEST(MttkrpService, RandomBatchedWorkloadsMatchReference) {
     // these small tensors); otherwise upgrade somewhere mid-workload.
     opts.upgrade_threshold =
         (trial % 3 == 2) ? 0.0 : static_cast<double>(1 + rng() % 16);
-    MttkrpService service(opts);
+    TensorOpService service(opts);
     service.register_tensor("x", share_tensor(std::move(x)));
 
     // Several batches so later ones straddle/follow the upgrade swap.
     std::uniform_int_distribution<index_t> mode_dist(0, order - 1);
     for (int wave = 0; wave < 4; ++wave) {
-      std::vector<MttkrpRequest> batch;
+      std::vector<ServeRequest> batch;
       std::vector<std::pair<int, index_t>> expected_key;  // (set, mode)
       for (int i = 0; i < 12; ++i) {
         const int set = static_cast<int>(rng() % refs.factor_sets.size());
@@ -155,7 +155,7 @@ TEST(MttkrpService, RandomBatchedWorkloadsMatchReference) {
       }
       auto futures = service.submit_batch(std::move(batch));
       for (std::size_t i = 0; i < futures.size(); ++i) {
-        MttkrpResponse r = futures[i].get();
+        ServeResponse r = futures[i].get();
         const auto [set, mode] = expected_key[i];
         const DenseMatrix& ref = refs.by_factors[set][mode];
         EXPECT_LT(ref.max_abs_diff(r.output), 1e-4 * ref_scale(ref))
@@ -178,7 +178,7 @@ TEST(MttkrpService, ServesMultipleTensorsIndependently) {
   opts.workers = 4;
   opts.upgrade_format = "gpu-csf";
   opts.upgrade_threshold = 4;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
   service.register_tensor("a", share_tensor(std::move(a)));
   service.register_tensor("b", share_tensor(std::move(b)));
   EXPECT_TRUE(service.has_tensor("a"));
@@ -186,14 +186,14 @@ TEST(MttkrpService, ServesMultipleTensorsIndependently) {
   EXPECT_THROW(service.submit({"c", 0, refs_a.factor_sets[0]}), Error);
   EXPECT_THROW(service.submit({"b", 4, refs_b.factor_sets[0]}), Error);
 
-  std::vector<MttkrpRequest> batch;
+  std::vector<ServeRequest> batch;
   for (int i = 0; i < 10; ++i) {
     batch.push_back({"a", static_cast<index_t>(i % 3), refs_a.factor_sets[0]});
     batch.push_back({"b", static_cast<index_t>(i % 4), refs_b.factor_sets[0]});
   }
   auto futures = service.submit_batch(std::move(batch));
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    MttkrpResponse r = futures[i].get();
+    ServeResponse r = futures[i].get();
     const bool is_a = (i % 2 == 0);
     const index_t mode = static_cast<index_t>((i / 2) % (is_a ? 3 : 4));
     const DenseMatrix& ref =
@@ -211,7 +211,7 @@ TEST(MttkrpService, ServesMultipleTensorsIndependently) {
 TEST(MttkrpService, RejectsPreprocessedInitialFormat) {
   ServeOptions opts;
   opts.initial_format = "bcsf";
-  EXPECT_THROW(MttkrpService{opts}, Error);
+  EXPECT_THROW(TensorOpService{opts}, Error);
 }
 
 // Destroying the service while accepted requests are still draining must
@@ -226,20 +226,20 @@ TEST(MttkrpService, DestructionCompletesAcceptedRequests) {
   const double tol = 1e-4 * ref_scale(ref);
 
   for (int attempt = 0; attempt < 8; ++attempt) {
-    std::vector<std::future<MttkrpResponse>> futures;
+    std::vector<std::future<ServeResponse>> futures;
     {
       ServeOptions opts;
       opts.workers = 1;
       opts.upgrade_format = "bcsf";
       opts.upgrade_threshold = 1;  // every request wants to launch a build
-      MttkrpService service(opts);
+      TensorOpService service(opts);
       service.register_tensor("x", share_tensor(SparseTensor(x)));
       futures = service.submit_batch(
-          std::vector<MttkrpRequest>(8, MttkrpRequest{"x", 0,
+          std::vector<ServeRequest>(8, ServeRequest{"x", 0,
                                                       refs.factor_sets[0]}));
     }  // destructor drains the queue while futures are outstanding
     for (auto& future : futures) {
-      MttkrpResponse r = future.get();  // must not throw
+      ServeResponse r = future.get();  // must not throw
       EXPECT_LT(ref.max_abs_diff(r.output), tol) << "sequence " << r.sequence;
     }
   }
@@ -251,13 +251,13 @@ TEST(MttkrpService, DisabledUpgradeStaysOnInitialPlan) {
   References refs(x, 8, 1, 33);
   ServeOptions opts;
   opts.workers = 2;
-  opts.enable_upgrade = false;
+  opts.upgrade_format = "coo";
   opts.upgrade_threshold = 1;
-  MttkrpService service(opts);
+  TensorOpService service(opts);
   service.register_tensor("x", share_tensor(std::move(x)));
 
-  std::vector<MttkrpRequest> batch(20,
-                                   MttkrpRequest{"x", 0, refs.factor_sets[0]});
+  std::vector<ServeRequest> batch(20,
+                                   ServeRequest{"x", 0, refs.factor_sets[0]});
   for (auto& f : service.submit_batch(std::move(batch))) {
     EXPECT_EQ(f.get().served_format, "coo");
   }

@@ -234,7 +234,7 @@ TEST(ShardedServe, RacingQueriesObserveAtomicShardUpdates) {
 TEST(ShardedServe, UpdatesRouteToShardsAndCompactIndependently) {
   Fixture fx(700, /*nnz=*/1200);
   ServeOptions opts = sharded_options(2);
-  opts.enable_upgrade = false;  // isolate the compaction machinery
+  opts.upgrade_format = "coo";  // isolate the compaction machinery
   TensorOpService service(opts);
   service.register_tensor("t", share_tensor(SparseTensor(fx.oracle)));
   ASSERT_EQ(service.shard_count("t"), 2u);
@@ -271,18 +271,30 @@ TEST(ShardedServe, UpdatesRouteToShardsAndCompactIndependently) {
 // ---------------------------------------------------------------------------
 // Hot-shard lifecycle: upgrade everywhere, compact ONE shard (its
 // generation resets to COO), observe "mixed", re-upgrade, all exact.
-// Runs on the exact-policy oracle path (sketch_policy = false): with
-// sketches on, the compaction itself re-decides and re-lands the
-// structured build (DESIGN.md §12) and the "mixed" window closes before
+// The compaction itself re-decides and relaunches the structured build
+// (DESIGN.md §12), which would close the "mixed" window before
 // wait_idle returns -- that eager lifecycle is pinned by
-// DynamicUpdates.UpdateCompactReupgradeLifecycle; this test keeps the
-// request-driven re-upgrade observable.
+// DynamicUpdates.UpdateCompactReupgradeLifecycle.  Here a gated build_fn
+// holds the re-upgrade (every bcsf build fails while the gate is shut;
+// the service re-arms a failed upgrade), so the window stays observable
+// and the request-driven re-upgrade runs once the gate opens.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedServe, HotShardCompactsAndReupgradesWhileColdStaysStructured) {
   Fixture fx(800, /*nnz=*/1400);
   ServeOptions opts = sharded_options(2, /*threshold=*/2.0);
-  opts.sketch_policy = false;
+  std::atomic<bool> gate_shut{false};
+  std::atomic<int> held_builds{0};
+  opts.build_fn = [&gate_shut, &held_builds](const std::string& format,
+                                             const SparseTensor& t,
+                                             index_t mode,
+                                             const PlanOptions& plan) {
+    if (format == "bcsf" && gate_shut.load()) {
+      ++held_builds;
+      throw Error("bcsf build held by the test gate");
+    }
+    return FormatRegistry::instance().create(format, t, mode, plan);
+  };
   TensorOpService service(opts);
   service.register_tensor("t", share_tensor(SparseTensor(fx.oracle)));
 
@@ -298,6 +310,7 @@ TEST(ShardedServe, HotShardCompactsAndReupgradesWhileColdStaysStructured) {
   // Phase 2: updates into shard 1 until it compacts.  Its fresh
   // generation serves COO again while shard 0 keeps its structured plan:
   // the formats MIX until re-upgrade -- the §8 incremental story.
+  gate_shut = true;
   const index_t hot_slice = service.shard_status("t", 0)[1].slice_begin;
   std::mt19937 rng(5678);
   while (service.compaction_count("t") == 0) {
@@ -312,9 +325,12 @@ TEST(ShardedServe, HotShardCompactsAndReupgradesWhileColdStaysStructured) {
   EXPECT_TRUE(mixed_status[0].upgraded);
   EXPECT_EQ(mixed_status[0].format, "bcsf");
   EXPECT_FALSE(mixed_status[1].upgraded);
+  EXPECT_GT(held_builds.load(), 0)
+      << "the compaction's re-decision must have launched the re-upgrade";
 
   // Phase 3: carried-over counters re-launch the hot shard's build on
   // the next request; responses stay exact before, during, and after.
+  gate_shut = false;
   while (!service.upgraded("t", 0)) {
     fx.expect_exact(service.submit(fx.request(0, OpKind::kMttkrp)).get(),
                     fx.oracle, 0, OpKind::kMttkrp);

@@ -103,7 +103,7 @@ TEST(SketchPolicy, BreakevenAgreesWhenFormatsAgree) {
 
 /// Drives a full serving lifecycle and returns how many exact O(nnz)
 /// stat scans it triggered.
-std::uint64_t scans_during_lifecycle(bool sketch_policy) {
+std::uint64_t scans_during_lifecycle() {
   const std::uint64_t before = exact_stat_scan_count();
   {
     ServeOptions opts;
@@ -112,7 +112,6 @@ std::uint64_t scans_during_lifecycle(bool sketch_policy) {
     opts.upgrade_threshold = 2.0;
     opts.compact_min_nnz = 64;
     opts.compact_threshold = 0.05;
-    opts.sketch_policy = sketch_policy;
     TensorOpService service(opts);
 
     PowerLawConfig config;
@@ -153,12 +152,14 @@ std::uint64_t scans_during_lifecycle(bool sketch_policy) {
 
 TEST(SketchPolicy, ServingPathDoesZeroExactScansWithSketches) {
   // The counting hook must actually count (otherwise the zero below is
-  // vacuous): the exact-policy service performs O(nnz) scans...
-  EXPECT_GT(scans_during_lifecycle(/*sketch_policy=*/false), 0u);
-  // ...and the sketch-backed service performs NONE, anywhere in the
-  // lifecycle: registration, policy resolution, upgrades, compactions,
-  // and kStats queries all read sketches.
-  EXPECT_EQ(scans_during_lifecycle(/*sketch_policy=*/true), 0u);
+  // vacuous): one exact stats call is one O(nnz) scan...
+  const std::uint64_t before = exact_stat_scan_count();
+  (void)compute_mode_stats(generate_uniform({40, 30, 20}, 500, 3), 0);
+  EXPECT_EQ(exact_stat_scan_count() - before, 1u);
+  // ...and the service performs NONE, anywhere in the lifecycle:
+  // registration, policy resolution, upgrades, compactions, and kStats
+  // queries all read sketches.
+  EXPECT_EQ(scans_during_lifecycle(), 0u);
 }
 
 TEST(SketchPolicy, StatsOpAnswersFromSketches) {

@@ -41,8 +41,8 @@ ServerOptions base_options() {
   opts.unix_path = test_socket_path();
   opts.serve.workers = 2;
   opts.serve.shards = 2;
-  opts.serve.enable_upgrade = false;  // deterministic formats/timing
-  opts.serve.enable_compaction = false;
+  opts.serve.upgrade_format = "coo";  // deterministic formats/timing
+  opts.serve.compact_threshold = 0;
   return opts;
 }
 
@@ -116,8 +116,8 @@ TEST(TensordServer, RegisterQueryUpdateMatchesInProcessService) {
   // equal monolithic-in-process).
   ServeOptions ref_opts;
   ref_opts.workers = 1;
-  ref_opts.enable_upgrade = false;
-  ref_opts.enable_compaction = false;
+  ref_opts.upgrade_format = "coo";
+  ref_opts.compact_threshold = 0;
   TensorOpService reference(ref_opts);
   reference.register_tensor("t", share_tensor(SparseTensor(x)));
 

@@ -137,8 +137,8 @@ TEST(TraceReplay, ServerRecordedTraceRoundTrips) {
     opts.unix_path = test_path("sock");
     opts.serve.workers = 2;
     opts.serve.shards = 2;
-    opts.serve.enable_upgrade = false;
-    opts.serve.enable_compaction = false;
+    opts.serve.upgrade_format = "coo";
+    opts.serve.compact_threshold = 0;
     opts.record_path = trace_path;
     net::TensorServer server(opts);
 
