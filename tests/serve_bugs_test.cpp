@@ -320,6 +320,8 @@ TEST(ServeBugs, OneShardBatchRunsItsRequestsInParallel) {
   {
     std::lock_guard<std::mutex> lock(latch.m);
     latch.armed = true;
+    latch.arrived = 0;
+    latch.timed_out = false;
   }
   auto futures = service.submit_batch(
       std::vector<ServeRequest>(kLatchCount, ServeRequest{"t", 0, factors}));
