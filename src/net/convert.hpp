@@ -28,8 +28,8 @@ inline ServeRequest to_request(QueryMsg&& msg) {
   return request;
 }
 
-/// Projects a response onto the wire's DETERMINISTIC fields (timings and
-/// the SimReport stay behind -- see ResultMsg).
+/// Projects a response onto the wire's DETERMINISTIC fields (timings stay
+/// behind -- see ResultMsg).
 inline ResultMsg to_result(std::uint64_t id, const ServeResponse& response) {
   ResultMsg msg;
   msg.id = id;

@@ -145,8 +145,8 @@ inline AckMsg make_ack(std::uint64_t id, std::uint64_t version) {
 }
 
 /// Mirror of serve/ServeResponse, restricted to the DETERMINISTIC fields:
-/// wall-clock timings (fanout_ms/reduce_ms) and the SimReport stay out so
-/// a replayed trace can be compared byte for byte across runs.
+/// wall-clock timings (fanout_ms/reduce_ms) stay out so a replayed trace
+/// can be compared byte for byte across runs.
 struct ResultMsg {
   std::uint64_t id = 0;
   OpKind op = OpKind::kMttkrp;

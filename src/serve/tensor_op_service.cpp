@@ -153,8 +153,14 @@ std::uint64_t TensorOpService::apply_updates(const std::string& tensor,
   // compact); cold shards stay exactly as they were.  The compaction
   // trigger also rides on queries; checking here keeps an update-heavy,
   // query-light workload from growing the delta unbounded.
-  std::vector<SparseTensor> routed = split_updates(
-      state.dims, kPartitionMode, state.route_begin, updates);
+  // A lone shard takes the whole batch as it is, with no copy.
+  std::vector<SparseTensor> routed;
+  if (state.shards.size() == 1) {
+    routed.push_back(std::move(updates));
+  } else {
+    routed = split_updates(state.dims, kPartitionMode, state.route_begin,
+                           updates);
+  }
 
   // A touched shard contributes the version apply() returned -- the one
   // that first contains this batch.  Re-reading version() would pick up
@@ -198,6 +204,13 @@ std::vector<std::future<ServeResponse>> TensorOpService::submit_batch(
                "TensorOpService: mode " << request.mode
                                         << " out of range for tensor '"
                                         << request.tensor << "'");
+    // The shard tasks size their outputs from factors->front() before any
+    // kernel checks the factors, so the count is checked here.
+    BCSF_CHECK(request.op == OpKind::kStats ||
+                   request.factors->size() == state.order(),
+               "TensorOpService: expected " << state.order()
+                                            << " factor matrices, got "
+                                            << request.factors->size());
     states.push_back(&state);
   }
 
@@ -254,7 +267,9 @@ void TensorOpService::dispatch_sharded(TensorState& state,
     item.remaining.store(k, std::memory_order_relaxed);
     item.disjoint = item.request.op != OpKind::kFit &&
                     state.owned_rows(0, item.request.mode).has_value();
-    if (item.disjoint) {
+    // A lone shard hands over its own plan output (handle_shard), so only
+    // K > 1 shares a preallocated one.
+    if (item.disjoint && k > 1) {
       const rank_t rank = item.request.op == OpKind::kTtv
                               ? 1
                               : item.request.factors->front().cols();
@@ -612,8 +627,10 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
   // boundary, no K-way reduce (rows outside the window are zero in both
   // the shard's plan output and its routed delta, so dropping them loses
   // exactly nothing).  With no delta the float -> double -> float round
-  // trip is exact, so a one-shard response is the plan's output bit for
-  // bit.
+  // trip is exact, so it is skipped and the window is copied as is.  A
+  // lone shard owns every row: it sweeps its plan output in place and
+  // hands that over whole, so a one-shard response is the plan's output
+  // bit for bit when there is no delta.
   switch (request.op) {
     case OpKind::kMttkrp:
     case OpKind::kTtv: {
@@ -625,20 +642,26 @@ TensorOpService::ShardRun TensorOpService::handle_shard(
         const rank_t rank = is_mttkrp ? request.factors->front().cols() : 1;
         const std::size_t lo = static_cast<std::size_t>(row_begin) * rank;
         const std::size_t hi = static_cast<std::size_t>(row_end) * rank;
-        ScratchLease lease(arena_, hi - lo);
-        std::span<double> acc(lease.get());
-        std::copy(data.begin() + lo, data.begin() + hi, acc.begin());
-        if (is_mttkrp) {
-          mttkrp_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                                  acc, row_begin);
-        } else {
-          ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
-                               acc, row_begin);
+        const bool sole = shard.owner->shards.size() == 1;
+        const auto dst = sole ? data : shared_out->data();
+        if (snap.delta_nnz != 0) {
+          ScratchLease lease(arena_, hi - lo);
+          std::span<double> acc(lease.get());
+          std::copy(data.begin() + lo, data.begin() + hi, acc.begin());
+          if (is_mttkrp) {
+            mttkrp_delta_accumulate(snap.deltas, request.mode,
+                                    *request.factors, acc, row_begin);
+          } else {
+            ttv_delta_accumulate(snap.deltas, request.mode, *request.factors,
+                                 acc, row_begin);
+          }
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            dst[lo + i] = static_cast<value_t>(acc[i]);
+          }
+        } else if (!sole) {
+          std::copy(data.begin() + lo, data.begin() + hi, dst.begin() + lo);
         }
-        const auto dst = shared_out->data();
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          dst[lo + i] = static_cast<value_t>(acc[i]);
-        }
+        if (sole) *shared_out = std::move(run.output);
       } else {
         out.acc = ScratchLease(arena_, data.size());
         std::copy(data.begin(), data.end(), out.acc.get().begin());

@@ -564,9 +564,10 @@ class TensorOpService {
     std::uint64_t sequence = 0;
     std::promise<ServeResponse> promise;
     bool disjoint = false;  ///< takes the disjoint-output path
-    /// Preallocated shared output for the disjoint path; shard s writes
-    /// its owned_rows window and nobody else touches those rows
-    /// (TSan-checked in the race suites).
+    /// Shared output for the disjoint path.  K > 1: preallocated, shard
+    /// s writes its owned_rows window and nobody else touches those rows
+    /// (TSan-checked in the race suites).  K = 1: the lone shard moves
+    /// its own plan output in.
     DenseMatrix output;
     /// Stamped by the FIRST shard task to reach this item (exchange
     /// winner); fanout_ms measures from here so pool queue wait ahead
@@ -587,7 +588,8 @@ class TensorOpService {
   ServeResponse handle_stats(TensorState& state, const ServeRequest& request);
   /// Runs one shard's (capture, count, execute, delta-sweep) sequence.
   /// A non-null `shared_out` selects the disjoint-output path: the shard
-  /// writes its owned_rows window there.  Otherwise the matrix result is
+  /// writes its owned_rows window there (a lone shard moves its whole
+  /// output there).  Otherwise the matrix result is
   /// a double partial in ShardRun::acc (the merge path).
   ShardRun handle_shard(ShardState& shard, const ServeRequest& request,
                         DenseMatrix* shared_out);

@@ -211,6 +211,47 @@ TEST(ServeBugs, SubmitRacingShutdownResolvesEveryFuture) {
   }
 }
 
+// A malformed factor list must be refused synchronously, before any shard
+// task sizes its output from factors->front(): at K = 1 every mode takes
+// the disjoint path, and tensord dispatches on the connection thread.
+TEST(ServeBugs, WrongFactorCountThrowsBeforeDispatch) {
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    ServeOptions opts;
+    opts.workers = 2;
+    opts.shards = shards;
+    opts.upgrade_format = "coo";
+    opts.compact_threshold = 0;
+    TensorOpService service(opts);
+
+    const std::vector<index_t> dims{32, 24, 16};
+    service.register_tensor(
+        "t", share_tensor(serve_test::exact_tensor(dims, 1500, 51)));
+    const auto factors = serve_test::exact_factors(dims, 4, 52);
+    const auto empty = std::make_shared<const std::vector<DenseMatrix>>();
+    const auto short_list = std::make_shared<const std::vector<DenseMatrix>>(
+        factors->begin(), factors->end() - 1);
+
+    for (const OpKind op : {OpKind::kMttkrp, OpKind::kTtv, OpKind::kFit}) {
+      for (index_t mode = 0; mode < dims.size(); ++mode) {
+        EXPECT_THROW(service.submit({"t", mode, empty, op}), Error);
+        EXPECT_THROW(service.submit({"t", mode, short_list, op}), Error);
+      }
+    }
+    // A bad request anywhere in a batch refuses the whole batch.
+    std::vector<ServeRequest> batch;
+    batch.emplace_back("t", 0, factors);
+    batch.emplace_back("t", 1, empty);
+    EXPECT_THROW(service.submit_batch(std::move(batch)), Error);
+    EXPECT_EQ(service.call_count("t"), 0u);
+
+    // The service still answers a well-formed request afterwards.
+    const ServeResponse ok = service.submit({"t", 0, factors}).get();
+    EXPECT_EQ(ok.output.rows(), dims[0]);
+    EXPECT_EQ(service.call_count("t"), 1u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bug 3: fanout_ms excludes pool queue wait ahead of the batch.
 // ---------------------------------------------------------------------------
